@@ -22,6 +22,13 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== perfbench module (vet, build, test) =="
+# perfbench is its own module (go.mod with a replace onto this one), so
+# the root `go build ./...` never compiles it: a harness API change
+# could silently break the benchmark of record. -o /dev/null keeps the
+# build from dropping a binary into the source tree.
+(cd perfbench && go vet ./... && go build -o /dev/null ./... && go test ./...)
+
 echo "== go test -race (parallel campaign + solver) =="
 # -short scales campaign iteration counts down: the race detector
 # needs the parallel shard/merge structure exercised, not volume.

@@ -51,7 +51,7 @@ const (
 type SimBackendConfig struct {
 	SUT     string `json:"sut"`
 	Release string `json:"release,omitempty"` // "" = trunk
-	Fuel    int64  `json:"fuel,omitempty"`    // Campaign.Fuel semantics
+	Fuel    int64  `json:"fuel,omitempty"`    // CampaignConfig.Fuel semantics
 	// InjectDefects adds defects beyond the release's catalogued set,
 	// mirroring SimBackendSpec's variadic parameter (consensus suites
 	// script a dissenting voter with it).
@@ -131,18 +131,16 @@ func (bc BackendConfig) validate() error {
 	return nil
 }
 
-// spec builds the runtime backend.Spec. Each call creates fresh Health
-// state for process backends; Resume rehydrates it from the checkpoint.
-func (bc BackendConfig) spec() (backend.Spec, error) {
-	if err := bc.validate(); err != nil {
-		return backend.Spec{}, err
-	}
+// spec builds the runtime backend.Spec of a validated config. Each call
+// creates fresh Health state for process backends; Resume rehydrates it
+// from the checkpoint.
+func (bc BackendConfig) spec() backend.Spec {
 	if bc.Sim != nil {
 		var inject []solver.Defect
 		for _, d := range bc.Sim.InjectDefects {
 			inject = append(inject, solver.Defect(d))
 		}
-		return SimBackendSpec(bugdb.SUT(bc.Sim.SUT), bc.Sim.Release, bc.Sim.Fuel, inject...), nil
+		return SimBackendSpec(bugdb.SUT(bc.Sim.SUT), bc.Sim.Release, bc.Sim.Fuel, inject...)
 	}
 	p := bc.Process
 	return backend.ProcessSpec(backend.ProcessConfig{
@@ -152,43 +150,78 @@ func (bc BackendConfig) spec() (backend.Spec, error) {
 		Timeout:          p.Timeout,
 		Retries:          p.Retries,
 		BreakerThreshold: p.Breaker,
-	}), nil
+	})
 }
 
-// CampaignConfig is the serializable identity of a campaign: everything
-// that determines its results, metrics, and trace, plus the shard
-// coordinates. It deliberately omits the runtime attachments (Telemetry,
-// Trace, worker count is advisory) — those live in RunOptions and may
-// differ between the legs of a paused campaign or between shards
-// without affecting any output byte.
-//
-// Campaign.Fusion's function-table override is not representable; a
-// config always uses the default fusion table.
+// CampaignConfig configures one fuzzing campaign (Algorithm 1 plus
+// seed-pool construction) and is the only campaign configuration: the
+// CLI, the service, checkpoints, envelopes, the experiments and the
+// public façade all run one through Start or Resume. It is the
+// campaign's serializable identity — everything that determines its
+// results, metrics, and trace, plus the shard coordinates. Runtime
+// attachments (telemetry, trace writer, a worker-count override) live
+// in RunOptions and may differ between the legs of a paused campaign or
+// between shards without affecting any output byte.
 type CampaignConfig struct {
-	SUT               string   `json:"sut"`
-	Release           string   `json:"release,omitempty"`
-	Logics            []string `json:"logics,omitempty"`
-	Iterations        int      `json:"iterations,omitempty"`
-	SeedPool          int      `json:"seed_pool,omitempty"`
-	Seed              int64    `json:"seed"`
-	Threads           int      `json:"threads,omitempty"`
-	Mode              string   `json:"mode,omitempty"`
-	DisableModelCheck bool     `json:"disable_model_check,omitempty"`
-	ConcatOnly        bool     `json:"concat_only,omitempty"`
-	// MaxPairs and ReplaceProb mirror core.Options.
+	SUT     string `json:"sut"`
+	Release string `json:"release,omitempty"` // "" = trunk
+	// Logics lists the seed logics (default: all).
+	Logics []string `json:"logics,omitempty"`
+	// Iterations is the number of derived tests per logic (default 200).
+	Iterations int `json:"iterations,omitempty"`
+	// SeedPool is the number of sat and unsat seeds per logic pool
+	// (default 20).
+	SeedPool int   `json:"seed_pool,omitempty"`
+	Seed     int64 `json:"seed"`
+	// Threads is the worker count (≤ 1 = single-threaded); results are
+	// invariant to it.
+	Threads int `json:"threads,omitempty"`
+	// Mode selects the test-derivation strategy: fusion (default),
+	// mutate, both (interleaved by iteration parity), or wild
+	// (unknown-status mutation for the consensus oracles).
+	Mode string `json:"mode,omitempty"`
+	// DisableModelCheck turns off the model-validation oracle, which
+	// otherwise evaluates every sat model against the input script.
+	DisableModelCheck bool `json:"disable_model_check,omitempty"`
+	// ConcatOnly switches to the ConcatFuzz baseline (RQ4).
+	ConcatOnly bool `json:"concat_only,omitempty"`
+	// MaxPairs and ReplaceProb tune the fusion engine (core.Options; 0 =
+	// the engine's default).
 	MaxPairs    int     `json:"max_pairs,omitempty"`
 	ReplaceProb float64 `json:"replace_prob,omitempty"`
-	Fuel        int64   `json:"fuel,omitempty"`
-	// WallTimeout (nanoseconds) arms the wall-clock watchdog; campaigns
-	// using it forfeit bit-identical resume the same way they forfeit
-	// thread-count invariance.
-	WallTimeout   time.Duration   `json:"wall_timeout_ns,omitempty"`
-	ArtifactDir   string          `json:"artifact_dir,omitempty"`
-	InjectDefects []string        `json:"inject_defects,omitempty"`
-	Backends      []BackendConfig `json:"backends,omitempty"`
-	// Oracle and Quorum mirror Campaign.Oracle/Quorum. omitempty keeps
-	// pre-consensus checkpoints decodable and known-policy documents
-	// byte-identical to what older builds wrote.
+	// Fuel bounds every solver invocation by a deterministic step count
+	// (see solver.Limits.Fuel): 0 uses the solver default, a positive
+	// value overrides it, and a negative value disables the meter.
+	Fuel int64 `json:"fuel,omitempty"`
+	// WallTimeout (nanoseconds), when positive, arms the wall-clock
+	// watchdog backstop around each solve. A run cut off by the watchdog
+	// is quarantined, never classified — and because wall-clock is
+	// scheduling-dependent, campaigns with a watchdog armed forfeit
+	// bit-identical resume and thread-count invariance, which fuel
+	// preserves.
+	WallTimeout time.Duration `json:"wall_timeout_ns,omitempty"`
+	// ArtifactDir, when set, persists every finding (and quarantined
+	// input) as a replayable reproducer bundle under this directory.
+	ArtifactDir string `json:"artifact_dir,omitempty"`
+	// InjectDefects adds defects beyond the release's own catalogue
+	// entries (fault-injection testing of the harness itself).
+	InjectDefects []string `json:"inject_defects,omitempty"`
+	// Backends configures cross-check solvers run on every tested script
+	// in addition to the SUT, layering a differential oracle over the
+	// campaign. Hermetic (simulated) backends preserve thread-count
+	// invariance; external process backends — supervised, retried, and
+	// circuit-broken by internal/backend — forfeit it the same way
+	// WallTimeout does, and a persistently failing binary degrades the
+	// campaign (its checks are skipped) instead of stalling it.
+	Backends []BackendConfig `json:"backends,omitempty"`
+	// Oracle selects the verdict-judging policy: known (default),
+	// majority, metamorphic, or auto. The consensus policies act only on
+	// unknown-status tasks; known-status classification is unaffected by
+	// the choice. Quorum is the minimum number of definite votes (SUT
+	// plus backends) the majority policy needs before calling a
+	// consensus (0 = 2). omitempty keeps pre-consensus checkpoints
+	// decodable and known-policy documents byte-identical to what older
+	// builds wrote.
 	Oracle string `json:"oracle,omitempty"`
 	Quorum int    `json:"quorum,omitempty"`
 	// Shard/Shards split the task space across independent processes:
@@ -198,9 +231,9 @@ type CampaignConfig struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// withDefaults mirrors Campaign.withDefaults so task counts, families,
-// and RNG coordinates computed from a config match the running
-// campaign's exactly.
+// withDefaults fills the defaults of every unset field. It is the only
+// defaulting step: task counts, families, and RNG coordinates computed
+// from a config match the running campaign's exactly.
 func (cc CampaignConfig) withDefaults() CampaignConfig {
 	if cc.Release == "" {
 		cc.Release = "trunk"
@@ -216,6 +249,8 @@ func (cc CampaignConfig) withDefaults() CampaignConfig {
 	if cc.SeedPool == 0 {
 		cc.SeedPool = 20
 	}
+	// Clamp, don't just default: a negative thread count would size the
+	// worker arrays with make([]T, Threads) and panic.
 	if cc.Threads <= 0 {
 		cc.Threads = 1
 	}
@@ -300,42 +335,6 @@ func (cc CampaignConfig) Validate() error {
 		names[n] = true
 	}
 	return nil
-}
-
-// campaign builds the runtime Campaign (without telemetry/trace
-// attachments). Call on a defaulted, validated config.
-func (cc CampaignConfig) campaign() (Campaign, error) {
-	cfg := Campaign{
-		SUT:               bugdb.SUT(cc.SUT),
-		Release:           cc.Release,
-		Iterations:        cc.Iterations,
-		SeedPool:          cc.SeedPool,
-		Seed:              cc.Seed,
-		Threads:           cc.Threads,
-		Mode:              CampaignMode(cc.Mode),
-		DisableModelCheck: cc.DisableModelCheck,
-		ConcatOnly:        cc.ConcatOnly,
-		Fusion:            core.Options{MaxPairs: cc.MaxPairs, ReplaceProb: cc.ReplaceProb},
-		Fuel:              cc.Fuel,
-		WallTimeout:       cc.WallTimeout,
-		ArtifactDir:       cc.ArtifactDir,
-		Oracle:            OraclePolicy(cc.Oracle),
-		Quorum:            cc.Quorum,
-	}
-	for _, l := range cc.Logics {
-		cfg.Logics = append(cfg.Logics, gen.Logic(l))
-	}
-	for _, d := range cc.InjectDefects {
-		cfg.InjectDefects = append(cfg.InjectDefects, solver.Defect(d))
-	}
-	for _, bc := range cc.Backends {
-		spec, err := bc.spec()
-		if err != nil {
-			return Campaign{}, fmt.Errorf("harness: config: %w", err)
-		}
-		cfg.Backends = append(cfg.Backends, spec)
-	}
-	return cfg, nil
 }
 
 // total is the campaign-wide task count. Call on a defaulted config.
@@ -546,7 +545,7 @@ type savedState struct {
 
 // captureState serializes the classification state. Bugs must still be
 // in recording order (captureState is called before finish sorts them).
-func captureState(cfg Campaign, st *runState) savedState {
+func captureState(cfg *campaign, st *runState) savedState {
 	res := st.res
 	s := savedState{
 		Tests:                  res.Tests,
@@ -569,7 +568,7 @@ func captureState(cfg Campaign, st *runState) savedState {
 	for _, b := range res.Bugs {
 		s.Bugs = append(s.Bugs, savedBugOf(b))
 	}
-	for _, spec := range cfg.Backends {
+	for _, spec := range cfg.specs {
 		streak, open := spec.Health.State()
 		s.Breakers = append(s.Breakers, breakerState{Streak: streak, Open: open})
 	}
@@ -582,7 +581,7 @@ func captureState(cfg Campaign, st *runState) savedState {
 // restoreState rebuilds the runtime classification state from a
 // checkpoint, including the dedup maps and the breaker state of the
 // freshly built backend specs.
-func restoreState(cfg Campaign, s savedState) (*runState, error) {
+func restoreState(cfg *campaign, s savedState) (*runState, error) {
 	st := newRunState(cfg)
 	res := st.res
 	res.Tests = s.Tests
@@ -607,13 +606,13 @@ func restoreState(cfg Campaign, s savedState) (*runState, error) {
 		st.found[b.Defect] = i
 		res.Bugs = append(res.Bugs, b)
 	}
-	if len(s.Backends) != len(cfg.Backends) {
-		return nil, fmt.Errorf("state carries %d backend reports for %d configured backends", len(s.Backends), len(cfg.Backends))
+	if len(s.Backends) != len(cfg.specs) {
+		return nil, fmt.Errorf("state carries %d backend reports for %d configured backends", len(s.Backends), len(cfg.specs))
 	}
 	res.Backends = append(res.Backends[:0], s.Backends...)
 	res.BackendFindings = append([]BackendFinding(nil), s.BackendFindings...)
 	nameIdx := map[string]int{"sut": -1}
-	for i, spec := range cfg.Backends {
+	for i, spec := range cfg.specs {
 		nameIdx[spec.Name] = i
 	}
 	for _, f := range res.BackendFindings {
@@ -623,11 +622,11 @@ func restoreState(cfg Campaign, s savedState) (*runState, error) {
 		}
 		st.bt.seen[findingKey(i, f)] = true
 	}
-	if len(s.Breakers) != 0 && len(s.Breakers) != len(cfg.Backends) {
-		return nil, fmt.Errorf("state carries %d breaker entries for %d configured backends", len(s.Breakers), len(cfg.Backends))
+	if len(s.Breakers) != 0 && len(s.Breakers) != len(cfg.specs) {
+		return nil, fmt.Errorf("state carries %d breaker entries for %d configured backends", len(s.Breakers), len(cfg.specs))
 	}
 	for i, br := range s.Breakers {
-		cfg.Backends[i].Health.Restore(br.Streak, br.Open)
+		cfg.specs[i].Health.Restore(br.Streak, br.Open)
 	}
 	if st.aw != nil {
 		st.aw.restore(s.Artifacts)
@@ -910,13 +909,16 @@ type RunOptions struct {
 	// use the config's). Results are invariant to it either way.
 	Threads int
 	// Telemetry, when non-nil, receives the campaign's aggregated
-	// metrics. On resume the checkpoint's snapshot is merged in first,
-	// so the final snapshot equals an uninterrupted run's.
+	// metrics: engine step counters merged per task plus the funnel
+	// counters, all written by the in-order classification stage, so the
+	// snapshot is bit-identical for any worker count. On resume the
+	// checkpoint's snapshot is merged in first, so the final snapshot
+	// equals an uninterrupted run's.
 	Telemetry *telemetry.Tracker
-	// Trace, when non-nil, receives this leg's JSONL trace records —
-	// only the new ones, so a resuming process can append to the file
-	// the paused process was writing. Checkpoints and envelopes carry
-	// the accumulated byte stream separately.
+	// Trace, when non-nil, receives this leg's JSONL trace records, one
+	// per task in task order — only the new ones, so a resuming process
+	// can append to the file the paused process was writing. Checkpoints
+	// and envelopes carry the accumulated byte stream separately.
 	Trace io.Writer
 	// StopAfter, when positive, pauses the campaign once that many more
 	// tasks have been classified.
@@ -952,9 +954,24 @@ type Outcome struct {
 	Telemetry telemetry.Snapshot
 }
 
-// Start runs a campaign (or one shard of it) from task zero.
+// Start runs a campaign (or one shard of it) from task zero, as a
+// shared-corpus, work-stealing pipeline:
+//
+//  1. The seed corpus is built once per logic, with solver vetting of
+//     the slots spread across the worker pool. Each slot has its own
+//     generator stream, so the corpus is identical however the vetting
+//     work is scheduled.
+//  2. Derive+solve tasks — exactly Iterations per logic — are drawn
+//     from a shared queue by workers. Each task seeds its RNG from
+//     (campaign seed, logic, iteration), so its test is a pure function
+//     of the configuration.
+//  3. Outcomes are classified sequentially in task order, making bug
+//     dedup and duplicate counting order-independent.
+//
+// Consequently a campaign's findings are bit-identical for any worker
+// count: parallelism is a pure speedup, not a different experiment.
 func Start(cc CampaignConfig, opt RunOptions) (*Outcome, error) {
-	return runConfig(cc, opt, nil)
+	return runConfig(cc, opt, nil, nil)
 }
 
 // Resume continues a paused campaign from its checkpoint. The resumed
@@ -968,27 +985,20 @@ func Resume(cp *Checkpoint, opt RunOptions) (*Outcome, error) {
 	if err := cp.validate(); err != nil {
 		return nil, err
 	}
-	return runConfig(cp.Config, opt, cp)
+	return runConfig(cp.Config, opt, cp, nil)
 }
 
-func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, error) {
-	if err := cc.Validate(); err != nil {
-		return nil, err
-	}
-	dcc := cc.withDefaults()
-	cfg, err := dcc.campaign()
+// runConfig runs one leg of cc: from task zero, or from cp's frontier.
+// table, when non-nil, overrides the fusion-function table; no document
+// can carry it, so only in-process ablation runs set it.
+func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint, table []core.FusionFn) (*Outcome, error) {
+	cfg, err := newCampaign(cc, opt.Threads)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Threads > 0 {
-		cfg.Threads = opt.Threads
-	}
-	cfg = cfg.withDefaults()
-	if err := validateCampaign(cfg); err != nil {
-		return nil, err
-	}
+	cfg.table = table
 
-	include := dcc.includeIDs()
+	include := cfg.includeIDs()
 	var st *runState
 	var carried telemetry.Snapshot
 	var traceAcc bytes.Buffer
@@ -1011,23 +1021,23 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint) (*Outcome, err
 	} else {
 		st = newRunState(cfg)
 	}
-	cfg.Telemetry = opt.Telemetry
+	cfg.tr = opt.Telemetry
 
 	// Tracing is armed when the caller wants live records OR when the
 	// checkpoint already carries trace bytes (the envelope of a traced
 	// campaign must stay whole across pauses, even through a leg whose
 	// caller did not attach a writer).
 	if opt.Trace != nil {
-		cfg.Trace = io.MultiWriter(opt.Trace, &traceAcc)
+		cfg.trace = io.MultiWriter(opt.Trace, &traceAcc)
 	} else if traceAcc.Len() > 0 {
-		cfg.Trace = &traceAcc
+		cfg.trace = &traceAcc
 	}
 
 	ctl := runControls{
 		stopAfter:   opt.StopAfter,
 		stop:        opt.Stop,
 		progress:    opt.Progress,
-		suppressVet: cp != nil || dcc.Shard != 0,
+		suppressVet: cp != nil || cfg.Shard != 0,
 	}
 	paused, err := runLeg(cfg, include, st, ctl)
 	if err != nil {

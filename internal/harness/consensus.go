@@ -74,7 +74,7 @@ func backendStatus(v backend.Verdict) (vote core.Status, definite bool) {
 // voters assembles the task's vote vector in canonical order: the SUT
 // first, then the backends in configuration order. Every voter appears
 // — abstainers included — so the manifest records the full vector.
-func voters(cfg Campaign, out *taskOutcome) []voter {
+func voters(cfg *campaign, out *taskOutcome) []voter {
 	vs := make([]voter, 0, 1+len(out.backendRuns))
 	label, vote, def := sutStatus(out.run)
 	reason := out.run.Reason
@@ -85,7 +85,7 @@ func voters(cfg Campaign, out *taskOutcome) []voter {
 		definite: def, vote: vote, reason: reason, exitCode: -1})
 	for i, o := range out.backendRuns {
 		vote, def := backendStatus(o.Verdict)
-		vs = append(vs, voter{idx: i, name: cfg.Backends[i].Name,
+		vs = append(vs, voter{idx: i, name: cfg.specs[i].Name,
 			verdict: o.Verdict.String(), definite: def, vote: vote,
 			reason: o.Reason, exitCode: o.ExitCode, stderr: o.Stderr,
 			retries: o.Retries})
@@ -104,12 +104,12 @@ func voteVector(vs []voter) []string {
 
 // variantVector renders the variant solve's verdict vector (SUT first,
 // then backends) for metamorphic finding manifests.
-func variantVector(cfg Campaign, out *taskOutcome) []string {
+func variantVector(cfg *campaign, out *taskOutcome) []string {
 	label, _, _ := sutStatus(out.variantRun)
 	vec := make([]string, 0, 1+len(out.variantBackends))
 	vec = append(vec, "sut="+label)
 	for i, o := range out.variantBackends {
-		vec = append(vec, cfg.Backends[i].Name+"="+o.Verdict.String())
+		vec = append(vec, cfg.specs[i].Name+"="+o.Verdict.String())
 	}
 	return vec
 }
@@ -118,14 +118,14 @@ func variantVector(cfg Campaign, out *taskOutcome) []string {
 // unknown-status task. It runs after classify/classifyBackends in the
 // in-order classification stage — known-status tasks (and the known
 // policy) never reach the body, so the legacy funnel is untouched.
-func classifyConsensus(res *Result, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func classifyConsensus(res *Result, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
 	if !out.tested || out.oracle() != core.StatusUnknown {
 		return
 	}
-	if cfg.Oracle == OracleMajority || cfg.Oracle == OracleAuto {
+	if cfg.majority() {
 		classifyMajority(res, cfg, aw, bt, out)
 	}
-	if cfg.Oracle == OracleMetamorphic || cfg.Oracle == OracleAuto {
+	if cfg.metamorphic() {
 		classifyMetamorphic(res, cfg, aw, bt, out)
 	}
 }
@@ -135,7 +135,7 @@ func classifyConsensus(res *Result, cfg Campaign, aw *artifactWriter, bt *backen
 // with fewer than Quorum definite verdicts — or a tie — abstains: an
 // abstention is a statement about the vote, not about any solver, so
 // it produces no finding.
-func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func classifyMajority(res *Result, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
 	vs := voters(cfg, out)
 	sat, unsat := 0, 0
 	for _, v := range vs {
@@ -160,7 +160,7 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 	}
 	res.OracleConsensus++
 	out.consensus = consensus.String()
-	logic := cfg.Logics[out.id/cfg.Iterations]
+	logic := cfg.logic(out.id)
 	for _, v := range vs {
 		if !v.definite || v.vote == consensus {
 			continue
@@ -202,7 +202,7 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
 			m.Backend = f.Backend
 			if v.idx >= 0 {
-				m.BackendArgv = cfg.Backends[v.idx].Argv
+				m.BackendArgv = cfg.specs[v.idx].Argv
 				m.BackendExit = v.exitCode
 				m.BackendStderr = v.stderr
 				m.BackendRetries = v.retries
@@ -210,7 +210,7 @@ func classifyMajority(res *Result, cfg Campaign, aw *artifactWriter, bt *backend
 			m.Observed = f.Observed
 			m.Reason = f.Reason
 			m.Oracle = out.consensus
-			m.OraclePolicy = string(cfg.Oracle)
+			m.OraclePolicy = cfg.Oracle
 			m.Quorum = cfg.Quorum
 			m.Votes = voteVector(vs)
 			m.Consensus = out.consensus
@@ -239,7 +239,7 @@ func relationViolated(rel mutate.Relation, orig, variant core.Status) bool {
 // itself — solver-vs-solver discrepancies are the majority policy's
 // business — so a violation implicates exactly one solver with no
 // reference solver in the loop.
-func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func classifyMetamorphic(res *Result, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
 	if out.variantSkip {
 		res.MetamorphicSkips++
 		return
@@ -249,7 +249,7 @@ func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *back
 	}
 	res.MetamorphicPairs++
 	rel := out.variant.Rel
-	logic := cfg.Logics[out.id/cfg.Iterations]
+	logic := cfg.logic(out.id)
 
 	record := func(idx int, name, origV, varV, reason string, exitCode int, stderr string, retries int) {
 		if idx < 0 {
@@ -289,7 +289,7 @@ func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *back
 			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
 			m.Backend = f.Backend
 			if idx >= 0 {
-				m.BackendArgv = cfg.Backends[idx].Argv
+				m.BackendArgv = cfg.specs[idx].Argv
 				m.BackendExit = exitCode
 				m.BackendStderr = stderr
 				m.BackendRetries = retries
@@ -297,7 +297,7 @@ func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *back
 			m.Observed = f.Observed
 			m.Reason = f.Reason
 			m.Oracle = rel.String()
-			m.OraclePolicy = string(cfg.Oracle)
+			m.OraclePolicy = cfg.Oracle
 			m.MetaRelation = rel.String()
 			m.MetaRules = out.variant.Rules
 			m.VariantVerdicts = variantVector(cfg, out)
@@ -327,7 +327,7 @@ func classifyMetamorphic(res *Result, cfg Campaign, aw *artifactWriter, bt *back
 			continue
 		}
 		reason := fmt.Sprintf("verdict pair %s/%s violates %s relation", o.Verdict.String(), vo.Verdict.String(), rel)
-		record(i, cfg.Backends[i].Name, o.Verdict.String(), vo.Verdict.String(),
+		record(i, cfg.specs[i].Name, o.Verdict.String(), vo.Verdict.String(),
 			reason, vo.ExitCode, vo.Stderr, o.Retries+vo.Retries)
 	}
 }

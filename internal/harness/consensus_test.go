@@ -11,7 +11,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/solver"
 	"repro/internal/telemetry"
 )
@@ -385,21 +384,17 @@ func TestMetamorphicFindsDefectKnownControlMisses(t *testing.T) {
 // disagree with. The buggy predicate ((verdict==sat) != (oracle==sat))
 // flagged every sat verdict on an unknown-status task.
 func TestUnknownOracleBackendAbstains(t *testing.T) {
-	cfg := Campaign{
-		SUT:        bugdb.CVC4Sim,
+	res := mustRun(t, CampaignConfig{
+		SUT:        "cvc4sim",
 		Release:    "1.5",
-		Logics:     []gen.Logic{gen.QFNRA},
+		Logics:     []string{"QF_NRA"},
 		Iterations: 60,
 		SeedPool:   8,
 		Seed:       5,
 		Threads:    2,
-		Mode:       ModeWild,
-		Backends:   []backend.Spec{SimBackendSpec(bugdb.CVC4Sim, "1.6", 0)},
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+		Mode:       "wild",
+		Backends:   []BackendConfig{{Sim: &SimBackendConfig{SUT: "cvc4sim", Release: "1.6"}}},
+	})
 	rep := res.Backends[0]
 	if rep.Sat == 0 {
 		t.Fatal("backend never answered sat; the regression is not exercised")
@@ -414,9 +409,11 @@ func TestUnknownOracleBackendAbstains(t *testing.T) {
 	}
 }
 
-// TestContradictionPredicates pins the tri-state comparison helpers:
-// contradiction requires a definite oracle and the opposite definite
-// verdict; unknown on either side abstains.
+// TestContradictionPredicates pins the tri-state contradiction
+// predicate over both verdict sources — SUT runs normalized by
+// sutStatus, backend verdicts by backendStatus: contradiction requires
+// a definite oracle and the opposite definite verdict; unknown on either
+// side abstains.
 func TestContradictionPredicates(t *testing.T) {
 	sutCases := []struct {
 		res    solver.Result
@@ -433,8 +430,9 @@ func TestContradictionPredicates(t *testing.T) {
 		{solver.ResTimeout, core.StatusUnsat, false},
 	}
 	for _, c := range sutCases {
-		if got := verdictContradicts(c.res, c.oracle); got != c.want {
-			t.Errorf("verdictContradicts(%v, %v) = %v, want %v", c.res, c.oracle, got, c.want)
+		_, vote, definite := sutStatus(RunResult{Result: c.res})
+		if got := contradicts(vote, definite, c.oracle); got != c.want {
+			t.Errorf("contradicts(sut %v, %v) = %v, want %v", c.res, c.oracle, got, c.want)
 		}
 	}
 	bkCases := []struct {
@@ -452,8 +450,9 @@ func TestContradictionPredicates(t *testing.T) {
 		{backend.Timeout, core.StatusUnsat, false},
 	}
 	for _, c := range bkCases {
-		if got := backendContradicts(c.v, c.oracle); got != c.want {
-			t.Errorf("backendContradicts(%v, %v) = %v, want %v", c.v, c.oracle, got, c.want)
+		vote, definite := backendStatus(c.v)
+		if got := contradicts(vote, definite, c.oracle); got != c.want {
+			t.Errorf("contradicts(backend %v, %v) = %v, want %v", c.v, c.oracle, got, c.want)
 		}
 	}
 }
@@ -477,38 +476,40 @@ func TestQuorumGatesConsensus(t *testing.T) {
 	}
 }
 
-// TestConsensusValidation covers the new configuration guards at both
-// config layers: unknown policies, negative quorums, and the reserved
-// voter name "sut".
+// TestConsensusValidation covers the campaign configuration guards:
+// unknown policies, negative quorums, the reserved voter name "sut",
+// duplicate and empty backend names, and negative iteration and
+// seed-pool counts. CampaignConfig.Validate is the one validation step,
+// and Start runs it, so every input is rejected with an error there too
+// — never by a panic deeper in the pipeline.
 func TestConsensusValidation(t *testing.T) {
-	bad := consensusCC()
-	bad.Oracle = "plurality"
-	if err := bad.Validate(); err == nil {
-		t.Error("unknown oracle policy accepted")
+	cases := []struct {
+		name string
+		edit func(*CampaignConfig)
+	}{
+		{"unknown oracle policy", func(cc *CampaignConfig) { cc.Oracle = "plurality" }},
+		{"negative quorum", func(cc *CampaignConfig) { cc.Quorum = -1 }},
+		{"reserved backend name sut", func(cc *CampaignConfig) {
+			cc.Backends = append(cc.Backends, BackendConfig{Process: &ProcessBackendConfig{Name: "sut", Path: "/bin/true"}})
+		}},
+		{"duplicate backend names", func(cc *CampaignConfig) {
+			cc.Backends = append(cc.Backends, cc.Backends[0])
+		}},
+		{"empty backend name", func(cc *CampaignConfig) {
+			cc.Backends = append(cc.Backends, BackendConfig{Process: &ProcessBackendConfig{Path: "/bin/true"}})
+		}},
+		{"negative iterations", func(cc *CampaignConfig) { cc.Iterations = -1 }},
+		{"negative seed pool", func(cc *CampaignConfig) { cc.SeedPool = -1 }},
 	}
-	bad = consensusCC()
-	bad.Quorum = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative quorum accepted")
-	}
-	bad = consensusCC()
-	bad.Backends = append(bad.Backends, BackendConfig{Process: &ProcessBackendConfig{Name: "sut", Path: "/bin/true"}})
-	if err := bad.Validate(); err == nil {
-		t.Error("reserved backend name sut accepted")
-	}
-
-	cfg := Campaign{SUT: bugdb.Z3Sim, Iterations: 2, SeedPool: 2, Seed: 1, Oracle: "plurality"}
-	if _, err := Run(cfg); err == nil {
-		t.Error("harness accepted unknown oracle policy")
-	}
-	cfg = Campaign{SUT: bugdb.Z3Sim, Iterations: 2, SeedPool: 2, Seed: 1, Quorum: -2}
-	if _, err := Run(cfg); err == nil {
-		t.Error("harness accepted negative quorum")
-	}
-	cfg = Campaign{SUT: bugdb.Z3Sim, Iterations: 2, SeedPool: 2, Seed: 1,
-		Backends: []backend.Spec{{Name: "sut", Hermetic: true}}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("harness accepted reserved backend name sut")
+	for _, c := range cases {
+		cc := consensusCC()
+		c.edit(&cc)
+		if err := cc.Validate(); err == nil {
+			t.Errorf("Validate accepted %s", c.name)
+		}
+		if _, err := Start(cc, RunOptions{}); err == nil {
+			t.Errorf("Start accepted %s", c.name)
+		}
 	}
 }
 

@@ -90,19 +90,31 @@ type CampaignBudget struct {
 	Threads    int
 }
 
+// config is the budget's campaign against a trunk SUT at a seed.
+func (b CampaignBudget) config(sut bugdb.SUT, seed int64) CampaignConfig {
+	return CampaignConfig{SUT: string(sut), Iterations: b.Iterations, SeedPool: b.SeedPool, Seed: seed, Threads: b.Threads}
+}
+
+// runCampaign runs cc to completion in this process. table, when
+// non-nil, overrides the fusion-function table (ablations only).
+func runCampaign(cc CampaignConfig, table []core.FusionFn) (*Result, error) {
+	out, err := runConfig(cc, RunOptions{}, nil, table)
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
+}
+
 // ExperimentFig8 runs the main campaign against both trunk SUTs.
 func ExperimentFig8(b CampaignBudget) (*Fig8, error) {
 	if b.Iterations == 0 {
 		b.Iterations = 250
 	}
-	if b.SeedPool == 0 {
-		b.SeedPool = 20
-	}
-	z3, err := Run(Campaign{SUT: bugdb.Z3Sim, Iterations: b.Iterations, SeedPool: b.SeedPool, Seed: b.Seed + 1, Threads: b.Threads})
+	z3, err := runCampaign(b.config(bugdb.Z3Sim, b.Seed+1), nil)
 	if err != nil {
 		return nil, err
 	}
-	cvc4, err := Run(Campaign{SUT: bugdb.CVC4Sim, Iterations: b.Iterations, SeedPool: b.SeedPool, Seed: b.Seed + 2, Threads: b.Threads})
+	cvc4, err := runCampaign(b.config(bugdb.CVC4Sim, b.Seed+2), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -447,33 +459,33 @@ type AblationRow struct {
 	Bugs int
 }
 
+// namedTable is one fusion-function table under ablation.
+type namedTable struct {
+	name  string
+	table []core.FusionFn
+}
+
+// ablateTables runs the budget's z3sim campaign once per table.
+func ablateTables(budget CampaignBudget, tables []namedTable) ([]AblationRow, error) {
+	var rows []AblationRow
+	for _, t := range tables {
+		res, err := runCampaign(budget.config(bugdb.Z3Sim, budget.Seed), t.table)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, AblationRow{Name: t.name, Bugs: len(res.Bugs)})
+	}
+	return rows, nil
+}
+
 // ExperimentAblationFusionFns compares fusion-function families.
 func ExperimentAblationFusionFns(budget CampaignBudget) ([]AblationRow, error) {
-	configs := []struct {
-		name  string
-		table []core.FusionFn
-	}{
+	return ablateTables(budget, []namedTable{
 		{"additive-only", core.AdditiveTable},
 		{"multiplicative-only", core.MultiplicativeTable},
 		{"string-only", core.StringTable},
 		{"full-table", core.DefaultTable},
-	}
-	var rows []AblationRow
-	for _, c := range configs {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Iterations: budget.Iterations,
-			SeedPool:   budget.SeedPool,
-			Seed:       budget.Seed,
-			Threads:    budget.Threads,
-			Fusion:     core.Options{Table: c.table},
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: c.name, Bugs: len(res.Bugs)})
-	}
-	return rows, nil
+	})
 }
 
 // ExperimentAblationSynth compares the hand-written Figure 6 table
@@ -482,30 +494,11 @@ func ExperimentAblationFusionFns(budget CampaignBudget) ([]AblationRow, error) {
 func ExperimentAblationSynth(budget CampaignBudget) ([]AblationRow, error) {
 	synth := core.SynthesizeTable(rand.New(rand.NewSource(budget.Seed+17)), 4)
 	combined := append(append([]core.FusionFn{}, core.DefaultTable...), synth...)
-	configs := []struct {
-		name  string
-		table []core.FusionFn
-	}{
+	return ablateTables(budget, []namedTable{
 		{"figure6-table", core.DefaultTable},
 		{"synthesized-only", synth},
 		{"figure6+synthesized", combined},
-	}
-	var rows []AblationRow
-	for _, c := range configs {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Iterations: budget.Iterations,
-			SeedPool:   budget.SeedPool,
-			Seed:       budget.Seed,
-			Threads:    budget.Threads,
-			Fusion:     core.Options{Table: c.table},
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Name: c.name, Bugs: len(res.Bugs)})
-	}
-	return rows, nil
+	})
 }
 
 // ExperimentAblationOccProb compares inversion-replacement
@@ -513,14 +506,9 @@ func ExperimentAblationSynth(budget CampaignBudget) ([]AblationRow, error) {
 func ExperimentAblationOccProb(budget CampaignBudget) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, p := range []float64{1e-9, 0.5, 0.999999} {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Iterations: budget.Iterations,
-			SeedPool:   budget.SeedPool,
-			Seed:       budget.Seed,
-			Threads:    budget.Threads,
-			Fusion:     core.Options{ReplaceProb: p},
-		})
+		cc := budget.config(bugdb.Z3Sim, budget.Seed)
+		cc.ReplaceProb = p
+		res, err := runCampaign(cc, nil)
 		if err != nil {
 			return nil, err
 		}

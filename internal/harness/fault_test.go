@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bugdb"
-	"repro/internal/gen"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
 )
@@ -55,16 +54,13 @@ func TestRunSolverInternalFaultCapture(t *testing.T) {
 // exhaust the fuel meter, and the campaign must terminate with at least
 // one deduplicated Performance bug whose signature is fuel exhaustion.
 func TestHangDefectCampaignFindsPerformanceBug(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFS},
+	res := mustRun(t, CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_S"},
 		Iterations: shortIters(80),
 		SeedPool:   8,
 		Seed:       7,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("tests=%d timeouts=%d bugs=%d", res.Tests, res.Timeouts, len(res.Bugs))
 	if res.Timeouts == 0 {
 		t.Error("hang defect produced no timeouts")
@@ -84,16 +80,13 @@ func TestHangDefectCampaignFindsPerformanceBug(t *testing.T) {
 // TestSimplexHangDefect does the same for the simplex cycling defect on
 // linear integer arithmetic (cvc4sim's catalogue).
 func TestSimplexHangDefect(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
-		Logics:     []gen.Logic{gen.QFLIA},
+	res := mustRun(t, CampaignConfig{
+		SUT:        "cvc4sim",
+		Logics:     []string{"QF_LIA"},
 		Iterations: shortIters(80),
 		SeedPool:   8,
 		Seed:       11,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("tests=%d timeouts=%d bugs=%d", res.Tests, res.Timeouts, len(res.Bugs))
 	b, ok := res.BugByDefect(solver.DefHangSimplexCycle)
 	if !ok {
@@ -109,17 +102,14 @@ func TestSimplexHangDefect(t *testing.T) {
 // to completion, quarantine the faulting inputs, and record no crash
 // findings for them.
 func TestSyntheticPanicQuarantined(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:           bugdb.Z3Sim,
-		Logics:        []gen.Logic{gen.QFLIA},
+	res := mustRun(t, CampaignConfig{
+		SUT:           "z3sim",
+		Logics:        []string{"QF_LIA"},
 		Iterations:    shortIters(40),
 		SeedPool:      6,
 		Seed:          3,
-		InjectDefects: []solver.Defect{solver.DefFaultSyntheticPanic},
+		InjectDefects: []string{string(solver.DefFaultSyntheticPanic)},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Quarantined == 0 {
 		t.Fatal("no runs quarantined despite a synthetic panic on every theory check")
 	}
@@ -135,23 +125,20 @@ func TestSyntheticPanicQuarantined(t *testing.T) {
 // tight fuel budget, timeout and quarantine counts and the bug list
 // must not depend on the thread count.
 func TestFaultCampaignThreadInvariance(t *testing.T) {
-	base := Campaign{
-		SUT:           bugdb.Z3Sim,
-		Logics:        []gen.Logic{gen.QFS, gen.QFLIA},
+	base := CampaignConfig{
+		SUT:           "z3sim",
+		Logics:        []string{"QF_S", "QF_LIA"},
 		Iterations:    shortIters(40),
 		SeedPool:      6,
 		Seed:          9,
 		Fuel:          200_000,
-		InjectDefects: []solver.Defect{solver.DefHangSimplexCycle},
+		InjectDefects: []string{string(solver.DefHangSimplexCycle)},
 	}
 	var ref *Result
 	for _, threads := range []int{1, 4} {
 		cfg := base
 		cfg.Threads = threads
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRun(t, cfg)
 		if ref == nil {
 			ref = res
 			if ref.Timeouts == 0 {
@@ -177,29 +164,40 @@ func TestFaultCampaignThreadInvariance(t *testing.T) {
 }
 
 // TestArtifactsRoundTripAndReplay checks the reproducer pipeline in
-// both campaign modes: every finding of a campaign with an artifact
-// directory lands as a bundle whose .smt2 files re-parse, and whose
-// manifest coordinates alone regenerate the identical test case —
-// fused formula or mutant — with the identical verdict.
+// both campaign modes and under non-default fusion options: every
+// finding of a campaign with an artifact directory lands as a bundle
+// whose .smt2 files re-parse, and whose manifest coordinates alone
+// regenerate the identical test case — fused formula or mutant — with
+// the identical verdict.
 func TestArtifactsRoundTripAndReplay(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Campaign
+		cfg  CampaignConfig
 	}{
-		{"fusion", Campaign{
-			SUT:        bugdb.Z3Sim,
-			Logics:     []gen.Logic{gen.QFS},
+		{"fusion", CampaignConfig{
+			SUT:        "z3sim",
+			Logics:     []string{"QF_S"},
 			Iterations: shortIters(60),
 			SeedPool:   8,
 			Seed:       7,
 		}},
-		{"mutation", Campaign{
-			SUT:        bugdb.Z3Sim,
-			Logics:     []gen.Logic{gen.QFNRA},
+		{"mutation", CampaignConfig{
+			SUT:        "z3sim",
+			Logics:     []string{"QF_NRA"},
 			Iterations: shortIters(150),
 			SeedPool:   8,
 			Seed:       31,
-			Mode:       ModeMutate,
+			Mode:       "mutate",
+		}},
+		// The manifest must carry the fusion options: replaying with the
+		// engine defaults regenerates a different fused test.
+		{"fusion-max-pairs", CampaignConfig{
+			SUT:        "z3sim",
+			Logics:     []string{"QF_S"},
+			Iterations: shortIters(60),
+			SeedPool:   8,
+			Seed:       7,
+			MaxPairs:   4,
 		}},
 	}
 	for _, tc := range cases {
@@ -207,10 +205,7 @@ func TestArtifactsRoundTripAndReplay(t *testing.T) {
 			dir := t.TempDir()
 			cfg := tc.cfg
 			cfg.ArtifactDir = dir
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRun(t, cfg)
 			if len(res.Artifacts) == 0 {
 				t.Fatal("campaign with findings wrote no artifact bundles")
 			}
@@ -232,10 +227,13 @@ func TestArtifactsRoundTripAndReplay(t *testing.T) {
 				if err != nil {
 					t.Fatalf("manifest: %v", err)
 				}
-				if m.CampaignMode != string(cfg.Mode) && !(m.CampaignMode == "fusion" && cfg.Mode == "") {
+				if m.CampaignMode != cfg.Mode && !(m.CampaignMode == "fusion" && cfg.Mode == "") {
 					t.Errorf("bundle %s campaign mode %q, want %q", bundle, m.CampaignMode, cfg.Mode)
 				}
-				if cfg.Mode == ModeMutate && m.BugType != "quarantine" {
+				if m.MaxPairs != cfg.MaxPairs {
+					t.Errorf("bundle %s max_pairs %d, want %d", bundle, m.MaxPairs, cfg.MaxPairs)
+				}
+				if cfg.Mode == "mutate" && m.BugType != "quarantine" {
 					if m.Mode != "mutation" || len(m.MutationRules) == 0 {
 						t.Errorf("mutation bundle %s lacks mutation metadata: mode=%q rules=%v",
 							bundle, m.Mode, m.MutationRules)
@@ -265,17 +263,14 @@ func TestArtifactsRoundTripAndReplay(t *testing.T) {
 // than classified, and classified plus quarantined runs accounting for
 // every fused test.
 func TestWallTimeoutQuarantines(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:         bugdb.Z3Sim,
-		Logics:      []gen.Logic{gen.QFLIA},
+	res := mustRun(t, CampaignConfig{
+		SUT:         "z3sim",
+		Logics:      []string{"QF_LIA"},
 		Iterations:  20,
 		SeedPool:    4,
 		Seed:        5,
 		WallTimeout: time.Nanosecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Quarantined == 0 {
 		t.Error("nanosecond watchdog quarantined nothing")
 	}

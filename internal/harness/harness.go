@@ -13,7 +13,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/backend"
@@ -129,7 +128,7 @@ const (
 	// OracleMajority folds all definite verdicts per unknown-status
 	// task — the SUT's and every backend's — and attributes a
 	// MajorityDisagreement finding to each outvoted voter, subject to
-	// Campaign.Quorum.
+	// CampaignConfig.Quorum.
 	OracleMajority OraclePolicy = "majority"
 	// OracleMetamorphic derives a variant with a known sat/unsat-
 	// preserving relation for each unknown-status task and flags any
@@ -139,103 +138,44 @@ const (
 	OracleAuto OraclePolicy = "auto"
 )
 
-// Campaign configures one fuzzing run (Algorithm 1 plus seed-pool
-// construction).
-type Campaign struct {
-	SUT     bugdb.SUT
-	Release string // "" = trunk
-	Logics  []gen.Logic
-	// Iterations is the number of fused tests per logic.
-	Iterations int
-	// SeedPool is the number of sat and unsat seeds per logic pool.
-	SeedPool int
-	Seed     int64
-	Threads  int // ≤ 1 = single-threaded
-	// Mode selects the test-derivation strategy: fusion (default),
-	// mutate, both (interleaved by iteration parity), or wild
-	// (unknown-status mutation for the consensus oracles).
-	Mode CampaignMode
-	// Oracle selects the verdict-judging policy: known (default),
-	// majority, metamorphic, or auto. The consensus policies act only
-	// on unknown-status tasks; known-status classification is
-	// unaffected by the choice.
-	Oracle OraclePolicy
-	// Quorum is the minimum number of definite votes (SUT plus
-	// backends) the majority policy needs before calling a consensus;
-	// with fewer votes, or a tie, the task is counted abstained. 0
-	// defaults to 2.
-	Quorum int
-	// DisableModelCheck turns off the model-validation oracle, which
-	// otherwise evaluates every sat model against the input script.
-	DisableModelCheck bool
-	// ConcatOnly switches to the ConcatFuzz baseline (RQ4).
-	ConcatOnly bool
-	// Fusion tunes the fusion engine.
-	Fusion core.Options
-	// Fuel bounds every solver invocation by a deterministic step count
-	// (see solver.Limits.Fuel): 0 uses the solver default, a positive
-	// value overrides it, and a negative value disables the meter.
-	Fuel int64
-	// WallTimeout, when positive, arms the wall-clock watchdog backstop
-	// around each fused solve. A run cut off by the watchdog is
-	// quarantined, never classified — and because wall-clock is
-	// scheduling-dependent, campaigns with a watchdog armed forfeit the
-	// bit-identical thread-count invariance that fuel preserves.
-	WallTimeout time.Duration
-	// ArtifactDir, when set, persists every finding (and quarantined
-	// input) as a replayable reproducer bundle under this directory.
-	ArtifactDir string
-	// InjectDefects adds defects beyond the release's own catalogue
-	// entries (fault-injection testing of the harness itself).
-	InjectDefects []solver.Defect
-	// Backends configures cross-check solvers run on every tested
-	// script in addition to the SUT: each backend's verdict is compared
-	// against the known-status oracle, layering a differential oracle
-	// over the campaign. Hermetic (in-process) backends preserve the
-	// thread-count invariance; external process backends — supervised,
-	// retried, and circuit-broken by internal/backend — forfeit it the
-	// same way WallTimeout does, and a persistently failing binary
-	// degrades the campaign (its checks are skipped) instead of
-	// stalling it.
-	Backends []backend.Spec
-	// Telemetry, when non-nil, receives the campaign's aggregated
-	// metrics: engine step counters merged per task plus the funnel
-	// counters. All writes happen in the in-order classification stage,
-	// so the final snapshot is bit-identical for any Threads value.
-	Telemetry *telemetry.Tracker
-	// Trace, when non-nil, receives one JSONL TraceRecord per task,
-	// emitted in task order (again thread-count-invariant).
-	Trace io.Writer
+// campaign is one running campaign: its defaulted, validated config
+// plus what is built from it — the backend specs, whose Health is live
+// breaker state, the telemetry and trace attachments, and (in-process
+// ablations only) a fusion-table override that no document can carry.
+type campaign struct {
+	CampaignConfig
+	specs []backend.Spec
+	tr    *telemetry.Tracker // RunOptions.Telemetry
+	trace io.Writer          // RunOptions.Trace, plus the envelope's accumulator
+	table []core.FusionFn
 }
 
-func (c Campaign) withDefaults() Campaign {
-	if c.Release == "" {
-		c.Release = "trunk"
+// newCampaign validates and defaults cc and builds its runtime state;
+// threads > 0 overrides the config's worker count.
+func newCampaign(cc CampaignConfig, threads int) (*campaign, error) {
+	if err := cc.Validate(); err != nil {
+		return nil, err
 	}
-	if len(c.Logics) == 0 {
-		c.Logics = gen.AllLogics
+	c := &campaign{CampaignConfig: cc.withDefaults()}
+	if threads > 0 {
+		c.Threads = threads
 	}
-	if c.Iterations == 0 {
-		c.Iterations = 200
+	for _, bc := range c.Backends {
+		c.specs = append(c.specs, bc.spec())
 	}
-	if c.SeedPool == 0 {
-		c.SeedPool = 20
-	}
-	// Clamp, don't just default: a negative thread count would size the
-	// worker arrays with make([]T, c.Threads) and panic.
-	if c.Threads <= 0 {
-		c.Threads = 1
-	}
-	if c.Mode == "" {
-		c.Mode = ModeFusion
-	}
-	if c.Oracle == "" {
-		c.Oracle = OracleKnown
-	}
-	if c.Quorum == 0 {
-		c.Quorum = 2
-	}
-	return c
+	return c, nil
+}
+
+// logic is the logic of a global task id.
+func (c *campaign) logic(id int) gen.Logic { return gen.Logic(c.Logics[id/c.Iterations]) }
+
+// majority and metamorphic report which consensus policies are armed.
+func (c *campaign) majority() bool {
+	return c.Oracle == string(OracleMajority) || c.Oracle == string(OracleAuto)
+}
+
+func (c *campaign) metamorphic() bool {
+	return c.Oracle == string(OracleMetamorphic) || c.Oracle == string(OracleAuto)
 }
 
 // Result is the outcome of a campaign.
@@ -261,10 +201,10 @@ type Result struct {
 	// watchdog. They never count as findings.
 	Quarantined int
 	// Artifacts lists reproducer bundle directories written this
-	// campaign (empty unless Campaign.ArtifactDir is set).
+	// campaign (empty unless CampaignConfig.ArtifactDir is set).
 	Artifacts []string
 	// Backends holds one health summary per configured cross-check
-	// backend, in Campaign.Backends order.
+	// backend, in CampaignConfig.Backends order.
 	Backends []BackendReport
 	// BackendFindings lists the deduplicated cross-check observations:
 	// verdict disagreements, contained backend failures, and consensus-
@@ -388,14 +328,14 @@ type familyKey struct {
 // task's own stream — rebuilt from the same seed in runTaskInner — is
 // untouched: per-task RNG coordinates are exactly those of the
 // unbatched scheduler, draw for draw.
-func familyOf(cfg Campaign, id int) familyKey {
+func familyOf(cfg *campaign, id int) familyKey {
 	logicIdx, iter := id/cfg.Iterations, id%cfg.Iterations
-	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, cfg.Logics[logicIdx], iter)))
+	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, cfg.logic(id), iter)))
 	k := familyKey{logicIdx: logicIdx, oracle: core.StatusSat, s2: -1}
 	if rng.Intn(2) == 1 {
 		k.oracle = core.StatusUnsat
 	}
-	k.mutation = isMutationTask(cfg.Mode, iter)
+	k.mutation = isMutationTask(CampaignMode(cfg.Mode), iter)
 	// Mirror seedPool.pick's draws: one Intn(SeedPool) per picked seed.
 	k.s1 = rng.Intn(cfg.SeedPool)
 	if !k.mutation {
@@ -408,7 +348,7 @@ func familyOf(cfg Campaign, id int) familyKey {
 // Ids stay in ascending order inside each family, and families are
 // ordered by their first task id, so the schedule is a pure function of
 // the campaign configuration — never of thread count or timing.
-func buildFamilies(cfg Campaign, total int) [][]int {
+func buildFamilies(cfg *campaign, total int) [][]int {
 	index := map[familyKey]int{}
 	var fams [][]int
 	for id := 0; id < total; id++ {
@@ -485,13 +425,13 @@ func (o *taskOutcome) oracle() core.Status {
 // makeSUT builds one solver-under-test instance for a campaign worker:
 // the release's catalogued defects plus any injected ones, under the
 // campaign's fuel limit, recording step counters into tr (nil = none).
-func makeSUT(cfg Campaign, tr *telemetry.Tracker) (*solver.Solver, error) {
-	defects, err := bugdb.DefectsIn(cfg.SUT, cfg.Release)
+func makeSUT(cfg *campaign, tr *telemetry.Tracker) (*solver.Solver, error) {
+	defects, err := bugdb.DefectsIn(bugdb.SUT(cfg.SUT), cfg.Release)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range cfg.InjectDefects {
-		defects[d] = true
+		defects[solver.Defect(d)] = true
 	}
 	lim := solver.DefaultLimits()
 	if cfg.Fuel > 0 {
@@ -500,60 +440,6 @@ func makeSUT(cfg Campaign, tr *telemetry.Tracker) (*solver.Solver, error) {
 		lim.Fuel = 0 // unlimited
 	}
 	return solver.New(solver.Config{Defects: defects, Limits: lim, Telemetry: tr}), nil
-}
-
-// Run executes the campaign as a shared-corpus, work-stealing pipeline:
-//
-//  1. The seed corpus is built once per logic, with solver vetting of
-//     the slots spread across the worker pool. Each slot has its own
-//     generator stream, so the corpus is identical however the vetting
-//     work is scheduled.
-//  2. Fusion+solve tasks — exactly Iterations per logic — are drawn
-//     from a shared queue by workers. Each task seeds its RNG from
-//     (campaign seed, logic, iteration), so its test is a pure function
-//     of the configuration.
-//  3. Outcomes are classified sequentially in task order, making bug
-//     dedup and duplicate counting order-independent.
-//
-// Consequently a campaign's findings are bit-identical for any Threads
-// value: parallelism is a pure speedup, not a different experiment.
-func Run(cfg Campaign) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := validateCampaign(cfg); err != nil {
-		return nil, err
-	}
-	total := len(cfg.Logics) * cfg.Iterations
-	include := make([]int, total)
-	for i := range include {
-		include[i] = i
-	}
-	st := newRunState(cfg)
-	if _, err := runLeg(cfg, include, st, runControls{}); err != nil {
-		return nil, err
-	}
-	return finish(cfg, st)
-}
-
-// validateCampaign rejects configurations Run cannot execute. cfg must
-// already carry its defaults.
-func validateCampaign(cfg Campaign) error {
-	switch cfg.Mode {
-	case ModeFusion, ModeMutate, ModeBoth, ModeWild:
-	default:
-		return fmt.Errorf("harness: unknown campaign mode %q", cfg.Mode)
-	}
-	if cfg.ConcatOnly && cfg.Mode != ModeFusion {
-		return fmt.Errorf("harness: ConcatOnly requires fusion mode, got %q", cfg.Mode)
-	}
-	switch cfg.Oracle {
-	case OracleKnown, OracleMajority, OracleMetamorphic, OracleAuto:
-	default:
-		return fmt.Errorf("harness: unknown oracle policy %q", cfg.Oracle)
-	}
-	if cfg.Quorum < 0 {
-		return fmt.Errorf("harness: negative quorum %d", cfg.Quorum)
-	}
-	return validateBackends(cfg.Backends)
 }
 
 // runControls tunes one exec leg of a campaign: pause triggers and
@@ -590,10 +476,10 @@ type runState struct {
 	done int
 }
 
-func newRunState(cfg Campaign) *runState {
+func newRunState(cfg *campaign) *runState {
 	res := &Result{}
-	res.Backends = make([]BackendReport, len(cfg.Backends))
-	for i, spec := range cfg.Backends {
+	res.Backends = make([]BackendReport, len(cfg.specs))
+	for i, spec := range cfg.specs {
 		res.Backends[i] = BackendReport{Name: spec.Name, Hermetic: spec.Hermetic}
 	}
 	st := &runState{
@@ -610,7 +496,7 @@ func newRunState(cfg Campaign) *runState {
 // finish finalizes a completed (or paused, for its partial Result)
 // campaign: sorts the findings, fills breaker states, and surfaces the
 // first artifact-write error.
-func finish(cfg Campaign, st *runState) (*Result, error) {
+func finish(cfg *campaign, st *runState) (*Result, error) {
 	res := st.res
 	sortBugs(res.Bugs)
 	finishBackends(res, cfg)
@@ -631,10 +517,10 @@ func finish(cfg Campaign, st *runState) (*Result, error) {
 // deltas) it would have seen in an uninterrupted single-process run.
 // Returns true when a control paused the leg before include was
 // exhausted.
-func runLeg(cfg Campaign, include []int, st *runState, ctl runControls) (bool, error) {
-	rec := &recorder{tr: cfg.Telemetry, suppressVet: ctl.suppressVet}
-	if cfg.Trace != nil {
-		rec.jw = telemetry.NewJSONLWriter(cfg.Trace)
+func runLeg(cfg *campaign, include []int, st *runState, ctl runControls) (bool, error) {
+	rec := &recorder{tr: cfg.tr, suppressVet: ctl.suppressVet}
+	if cfg.trace != nil {
+		rec.jw = telemetry.NewJSONLWriter(cfg.trace)
 	}
 
 	// One solver instance per worker: instances are deterministic per
@@ -660,7 +546,7 @@ func runLeg(cfg Campaign, include []int, st *runState, ctl runControls) (bool, e
 	// circuit breaker counts the backend's global failure streak.
 	workerBackends := make([][]backend.Backend, cfg.Threads)
 	for w := range workerBackends {
-		for _, spec := range cfg.Backends {
+		for _, spec := range cfg.specs {
 			b, err := spec.New()
 			if err != nil {
 				return false, fmt.Errorf("harness: backend %q: %w", spec.Name, err)
@@ -688,7 +574,7 @@ func runLeg(cfg Campaign, include []int, st *runState, ctl runControls) (bool, e
 	// untrimmed prefix is the warm-replay work that reconstructs the
 	// in-family cache state an included task depends on. Workers read
 	// emit concurrently; it is immutable once built.
-	total := len(cfg.Logics) * cfg.Iterations
+	total := cfg.total()
 	emit := make([]bool, total)
 	for _, id := range include {
 		emit[id] = true
@@ -847,7 +733,7 @@ func runLeg(cfg Campaign, include []int, st *runState, ctl runControls) (bool, e
 // random in the task flows from its own deterministic RNG, and the mode
 // of an iteration is a pure function of (Mode, iter), so campaigns stay
 // bit-identical for any thread count.
-func runTask(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker, id int) taskOutcome {
+func runTask(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, tr *telemetry.Tracker, id int) taskOutcome {
 	before := tr.Snapshot()
 	out := runTaskInner(cfg, pools, sut, bks, id)
 	if !out.wallTimeout {
@@ -858,9 +744,9 @@ func runTask(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []backend.
 	return out
 }
 
-func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, id int) taskOutcome {
+func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []backend.Backend, id int) taskOutcome {
 	logicIdx, iter := id/cfg.Iterations, id%cfg.Iterations
-	logic := cfg.Logics[logicIdx]
+	logic := cfg.logic(id)
 	rng := rand.New(rand.NewSource(taskSeed(cfg.Seed, logic, iter)))
 	oracle := core.StatusSat
 	if rng.Intn(2) == 1 {
@@ -868,11 +754,11 @@ func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []bac
 	}
 	pool := pools[logicIdx]
 	out := taskOutcome{id: id}
-	if isMutationTask(cfg.Mode, iter) {
+	if isMutationTask(CampaignMode(cfg.Mode), iter) {
 		s1 := pool.pick(oracle, rng)
 		var mut *mutate.Mutant
 		var err error
-		if cfg.Mode == ModeWild {
+		if cfg.Mode == string(ModeWild) {
 			// Wild mutation leaves the polarity-soundness envelope: the
 			// oracle coin and pool pick above replay identically, but the
 			// derived test's ground truth is unknown by construction.
@@ -897,7 +783,8 @@ func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []bac
 		if cfg.ConcatOnly {
 			fused, err = core.Concat(s1, s2, rng)
 		} else {
-			fused, err = core.Fuse(s1, s2, rng, cfg.Fusion)
+			fused, err = core.Fuse(s1, s2, rng, core.Options{
+				MaxPairs: cfg.MaxPairs, ReplaceProb: cfg.ReplaceProb, Table: cfg.table})
 		}
 		if err != nil {
 			var ge *analysis.GateError
@@ -935,8 +822,7 @@ func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []bac
 	// on the same worker. The variant's randomness comes from its own
 	// seed domain — reordering or disabling the policy never perturbs
 	// the primary task stream.
-	if (cfg.Oracle == OracleMetamorphic || cfg.Oracle == OracleAuto) &&
-		out.oracle() == core.StatusUnknown && !out.run.InternalFault {
+	if cfg.metamorphic() && out.oracle() == core.StatusUnknown && !out.run.InternalFault {
 		vrng := rand.New(rand.NewSource(metaSeed(cfg.Seed, logic, iter)))
 		v, err := mutate.DeriveVariant(script, vrng, mutate.Options{})
 		if err != nil {
@@ -967,7 +853,7 @@ func runTaskInner(cfg Campaign, pools []*seedPool, sut *solver.Solver, bks []bac
 	return out
 }
 
-func applyOutcome(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func applyOutcome(res *Result, found map[solver.Defect]int, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
 	if out.invalid {
 		res.InvalidInputs++
 		return
@@ -1007,33 +893,33 @@ func applyOutcome(res *Result, found map[solver.Defect]int, cfg Campaign, aw *ar
 }
 
 // manifestFor assembles the replay coordinates of one task outcome.
-func manifestFor(cfg Campaign, out taskOutcome, bugType string, defect solver.Defect) Manifest {
+func manifestFor(cfg *campaign, out taskOutcome, bugType string, defect solver.Defect) Manifest {
 	logicIdx, iter := out.id/cfg.Iterations, out.id%cfg.Iterations
 	fired := make([]string, 0, len(out.run.DefectsFired))
 	for _, d := range out.run.DefectsFired {
 		fired = append(fired, string(d))
 	}
 	m := Manifest{
-		Schema:       ManifestSchema,
-		SUT:          string(cfg.SUT),
-		Release:      cfg.Release,
-		BugType:      bugType,
-		Defect:       string(defect),
-		Oracle:       "",
-		Observed:     out.run.Result.String(),
-		Reason:       out.run.Reason,
-		DefectsFired: fired,
-		CampaignSeed: cfg.Seed,
-		Logic:        string(cfg.Logics[logicIdx]),
-		Iteration:    iter,
-		Iterations:   cfg.Iterations,
-		SeedPool:     cfg.SeedPool,
-		ConcatOnly:   cfg.ConcatOnly,
-		Fuel:         cfg.Fuel,
-		CampaignMode: string(cfg.Mode),
-	}
-	for _, d := range cfg.InjectDefects {
-		m.InjectDefects = append(m.InjectDefects, string(d))
+		Schema:        ManifestSchema,
+		SUT:           cfg.SUT,
+		Release:       cfg.Release,
+		BugType:       bugType,
+		Defect:        string(defect),
+		Oracle:        "",
+		Observed:      out.run.Result.String(),
+		Reason:        out.run.Reason,
+		DefectsFired:  fired,
+		CampaignSeed:  cfg.Seed,
+		Logic:         cfg.Logics[logicIdx],
+		Iteration:     iter,
+		Iterations:    cfg.Iterations,
+		SeedPool:      cfg.SeedPool,
+		ConcatOnly:    cfg.ConcatOnly,
+		Fuel:          cfg.Fuel,
+		MaxPairs:      cfg.MaxPairs,
+		ReplaceProb:   cfg.ReplaceProb,
+		CampaignMode:  cfg.Mode,
+		InjectDefects: cfg.InjectDefects,
 	}
 	if out.fused != nil {
 		m.Oracle = out.fused.Oracle.String()
@@ -1054,8 +940,8 @@ func manifestFor(cfg Campaign, out taskOutcome, bugType string, defect solver.De
 // classify implements the incorrects/crashes bookkeeping of
 // Algorithm 1, extended with performance-defect observation, timeout
 // triage, and duplicate triage by defect site.
-func classify(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifactWriter, out taskOutcome) {
-	logic := cfg.Logics[out.id/cfg.Iterations]
+func classify(res *Result, found map[solver.Defect]int, cfg *campaign, aw *artifactWriter, out taskOutcome) {
+	logic := cfg.logic(out.id)
 	ancestors, run := out.ancestors, out.run
 	script, oracle := out.testScript(), out.oracle()
 	record := func(kind bugdb.BugType) {
@@ -1091,6 +977,7 @@ func classify(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifa
 		}
 	}
 
+	_, vote, definite := sutStatus(run)
 	switch {
 	case run.Crashed:
 		record(bugdb.Crash)
@@ -1113,7 +1000,7 @@ func classify(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifa
 		if _, ok := primaryDefect(run.DefectsFired, bugdb.Performance); ok {
 			record(bugdb.Performance)
 		}
-	case verdictContradicts(run.Result, oracle):
+	case contradicts(vote, definite, oracle):
 		record(bugdb.Soundness)
 	case run.Result == solver.ResSat && !cfg.DisableModelCheck:
 		// The verdict agrees with the oracle, but the reported witness
@@ -1126,22 +1013,16 @@ func classify(res *Result, found map[solver.Defect]int, cfg Campaign, aw *artifa
 	}
 }
 
-// verdictContradicts reports whether a SUT verdict refutes the ground
-// truth. Only a definite verdict on a definite oracle can contradict:
-// an unknown-status test (wild mutation) has nothing to refute, so it
-// abstains rather than being treated as implicitly unsat. The earlier
-// predicate `(res == ResSat) != (oracle == StatusSat)` collapsed
-// StatusUnknown into the unsat arm and charged every sat verdict on an
-// unknown-status input as a soundness bug.
-func verdictContradicts(res solver.Result, oracle core.Status) bool {
-	switch oracle {
-	case core.StatusSat:
-		return res == solver.ResUnsat
-	case core.StatusUnsat:
-		return res == solver.ResSat
-	default:
-		return false
-	}
+// contradicts reports whether a normalized verdict — the (vote,
+// definite) pair sutStatus and backendStatus produce — refutes the
+// ground truth. Only a definite verdict on a definite oracle can
+// contradict: an unknown-status test (wild mutation) has nothing to
+// refute, so it abstains rather than being treated as implicitly unsat.
+// The earlier predicate `(verdict == sat) != (oracle == StatusSat)`
+// collapsed StatusUnknown into the unsat arm and charged every sat
+// verdict on an unknown-status input as a finding.
+func contradicts(vote core.Status, definite bool, oracle core.Status) bool {
+	return definite && (oracle == core.StatusSat || oracle == core.StatusUnsat) && vote != oracle
 }
 
 // primaryDefect picks the fired defect matching the observed bug kind
@@ -1196,7 +1077,7 @@ type seedPool struct {
 // across the worker pool. Each slot owns a generator stream keyed by
 // (campaign seed, logic, slot, status), so the resulting corpus does
 // not depend on which worker vets which slot.
-func buildCorpus(cfg Campaign, suts []*solver.Solver, trackers []*telemetry.Tracker, rec *recorder) ([]*seedPool, error) {
+func buildCorpus(cfg *campaign, suts []*solver.Solver, trackers []*telemetry.Tracker, rec *recorder) ([]*seedPool, error) {
 	pools := make([]*seedPool, len(cfg.Logics))
 	for i := range pools {
 		pools[i] = &seedPool{
@@ -1239,7 +1120,7 @@ func buildCorpus(cfg Campaign, suts []*solver.Solver, trackers []*telemetry.Trac
 				// happened to vet (or solve) something else first.
 				sut.ResetWarm()
 				before := tr.Snapshot()
-				s, n, err := vetSlot(cfg, cfg.Logics[logicIdx], slot, status, sut)
+				s, n, err := vetSlot(cfg, gen.Logic(cfg.Logics[logicIdx]), slot, status, sut)
 				tries[j] = n
 				deltas[j] = tr.Snapshot().Diff(before)
 				if err != nil {
@@ -1275,7 +1156,7 @@ func buildCorpus(cfg Campaign, suts []*solver.Solver, trackers []*telemetry.Trac
 
 // vetSlot generates one vetted seed from the slot's own stream. The
 // second result is the number of generation attempts consumed.
-func vetSlot(cfg Campaign, logic gen.Logic, slot int, status core.Status, sut *solver.Solver) (*core.Seed, int, error) {
+func vetSlot(cfg *campaign, logic gen.Logic, slot int, status core.Status, sut *solver.Solver) (*core.Seed, int, error) {
 	g, err := gen.New(logic, poolSeed(cfg.Seed, logic, slot, status))
 	if err != nil {
 		return nil, 0, err

@@ -5,10 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/smtlib"
 	"repro/internal/solver"
 	"repro/internal/telemetry"
@@ -23,6 +21,16 @@ func shortIters(full int) int {
 		return full / 5
 	}
 	return full
+}
+
+// mustRun runs cc to completion with no attachments.
+func mustRun(t *testing.T, cc CampaignConfig) *Result {
+	t.Helper()
+	out, err := Start(cc, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Result
 }
 
 func TestRunSolverCrashCapture(t *testing.T) {
@@ -56,17 +64,14 @@ func TestReferenceCampaignFindsNothing(t *testing.T) {
 	// so run the reference solver directly through the loop by using a
 	// campaign against cvc4sim 1.5 but with logics where its defects
 	// cannot fire (pure linear real arithmetic).
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
+	res := mustRun(t, CampaignConfig{
+		SUT:        "cvc4sim",
 		Release:    "1.5",
-		Logics:     []gen.Logic{gen.LRA},
+		Logics:     []string{"LRA"},
 		Iterations: 60,
 		SeedPool:   10,
 		Seed:       42,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.ReferenceDisagreements != 0 {
 		t.Fatalf("reference disagreements: %d", res.ReferenceDisagreements)
 	}
@@ -77,16 +82,13 @@ func TestReferenceCampaignFindsNothing(t *testing.T) {
 }
 
 func TestCampaignFindsSeededBugs(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
+	res := mustRun(t, CampaignConfig{
+		SUT:        "z3sim",
 		Iterations: shortIters(80),
 		SeedPool:   12,
 		Seed:       7,
 		Threads:    4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.ReferenceDisagreements != 0 {
 		t.Fatalf("oracle mismatches without defect: %d — the reference solver is unsound", res.ReferenceDisagreements)
 	}
@@ -100,16 +102,13 @@ func TestCampaignFindsSeededBugs(t *testing.T) {
 }
 
 func TestCampaignCVC4Sim(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
+	res := mustRun(t, CampaignConfig{
+		SUT:        "cvc4sim",
 		Iterations: shortIters(80),
 		SeedPool:   12,
 		Seed:       11,
 		Threads:    4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.ReferenceDisagreements != 0 {
 		t.Fatalf("reference disagreements: %d", res.ReferenceDisagreements)
 	}
@@ -120,17 +119,11 @@ func TestCampaignCVC4Sim(t *testing.T) {
 }
 
 func TestConcatFuzzFindsFewer(t *testing.T) {
-	base := Campaign{SUT: bugdb.Z3Sim, Iterations: shortIters(40), SeedPool: 10, Seed: 3, Threads: 4}
-	full, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := CampaignConfig{SUT: "z3sim", Iterations: shortIters(40), SeedPool: 10, Seed: 3, Threads: 4}
+	full := mustRun(t, base)
 	concat := base
 	concat.ConcatOnly = true
-	co, err := Run(concat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := mustRun(t, concat)
 	t.Logf("yinyang=%d concatfuzz=%d", len(full.Bugs), len(co.Bugs))
 	if len(co.Bugs) > len(full.Bugs) && !testing.Short() {
 		t.Errorf("ConcatFuzz found more bugs (%d) than YinYang (%d)", len(co.Bugs), len(full.Bugs))
@@ -141,17 +134,14 @@ func TestConcatFuzzFindsFewer(t *testing.T) {
 }
 
 func TestParallelMatchesMergeInvariants(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFS, gen.QFNRA},
+	res := mustRun(t, CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_S", "QF_NRA"},
 		Iterations: shortIters(80),
 		SeedPool:   10,
 		Seed:       5,
 		Threads:    4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.ReferenceDisagreements != 0 {
 		t.Fatalf("reference disagreements: %d", res.ReferenceDisagreements)
 	}
@@ -165,14 +155,8 @@ func TestParallelMatchesMergeInvariants(t *testing.T) {
 }
 
 func TestOldReleaseFindsSubset(t *testing.T) {
-	trunk, err := Run(Campaign{SUT: bugdb.Z3Sim, Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Run(Campaign{SUT: bugdb.Z3Sim, Release: "4.5.0", Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	trunk := mustRun(t, CampaignConfig{SUT: "z3sim", Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
+	old := mustRun(t, CampaignConfig{SUT: "z3sim", Release: "4.5.0", Iterations: shortIters(50), SeedPool: 10, Seed: 13, Threads: 4})
 	// Every defect found in 4.5.0 must be one that affects 4.5.0.
 	for _, b := range old.Bugs {
 		if !bugdb.Affects(b.Defect, "4.5.0") {
@@ -183,10 +167,7 @@ func TestOldReleaseFindsSubset(t *testing.T) {
 }
 
 func TestBugAncestorsRecorded(t *testing.T) {
-	res, err := Run(Campaign{SUT: bugdb.Z3Sim, Iterations: shortIters(50), SeedPool: 10, Seed: 21, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, CampaignConfig{SUT: "z3sim", Iterations: shortIters(50), SeedPool: 10, Seed: 21, Threads: 4})
 	for _, b := range res.Bugs {
 		if b.Ancestors[0] == nil || b.Ancestors[1] == nil || b.Script == nil {
 			t.Errorf("bug %s missing ancestors or script", b.Defect)
@@ -207,31 +188,31 @@ func TestBugAncestorsRecorded(t *testing.T) {
 func TestThreadCountInvariance(t *testing.T) {
 	for _, mode := range []CampaignMode{ModeFusion, ModeMutate, ModeBoth} {
 		t.Run(string(mode), func(t *testing.T) {
-			base := Campaign{
-				SUT:        bugdb.Z3Sim,
-				Logics:     []gen.Logic{gen.QFLIA, gen.QFS},
+			cc := CampaignConfig{
+				SUT:        "z3sim",
+				Logics:     []string{"QF_LIA", "QF_S"},
 				Iterations: shortIters(60),
 				SeedPool:   8,
 				Seed:       42,
-				Mode:       mode,
-				Backends:   []backend.Spec{SimBackendSpec(bugdb.CVC4Sim, "1.5", 0)},
+				Mode:       string(mode),
+				Backends:   []BackendConfig{{Sim: &SimBackendConfig{SUT: "cvc4sim", Release: "1.5"}}},
 			}
 			threadCounts := []int{1, 2, 4}
+			outs := make([]*Outcome, len(threadCounts))
 			results := make([]*Result, len(threadCounts))
 			metrics := make([]telemetry.Snapshot, len(threadCounts))
 			traces := make([]*bytes.Buffer, len(threadCounts))
 			for i, threads := range threadCounts {
-				cfg := base
-				cfg.Threads = threads
-				cfg.Telemetry = telemetry.NewTracker()
+				tc := cc
+				tc.Threads = threads
 				traces[i] = &bytes.Buffer{}
-				cfg.Trace = traces[i]
-				res, err := Run(cfg)
+				out, err := Start(tc, RunOptions{Telemetry: telemetry.NewTracker(), Trace: traces[i]})
 				if err != nil {
 					t.Fatal(err)
 				}
-				results[i] = res
-				metrics[i] = cfg.Telemetry.Snapshot()
+				outs[i] = out
+				results[i] = out.Result
+				metrics[i] = out.Telemetry
 			}
 			ref := results[0]
 			if ref.Tests == 0 {
@@ -305,38 +286,13 @@ func TestThreadCountInvariance(t *testing.T) {
 			// backend cross-check finding's recording task (the resumed
 			// leg must restore finding dedup and breaker state rather
 			// than re-record or re-count).
-			cc := CampaignConfig{
-				SUT:        string(bugdb.Z3Sim),
-				Logics:     []string{string(gen.QFLIA), string(gen.QFS)},
-				Iterations: shortIters(60),
-				SeedPool:   8,
-				Seed:       42,
-				Mode:       string(mode),
-				Backends:   []BackendConfig{{Sim: &SimBackendConfig{SUT: string(bugdb.CVC4Sim), Release: "1.5"}}},
-			}
-			refTr := telemetry.NewTracker()
-			var refTrace bytes.Buffer
-			refOut, err := Start(cc, RunOptions{Telemetry: refTr, Trace: &refTrace})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The config-driven path must be the same experiment as the
-			// Campaign-driven path exercised above.
-			if summary(refOut.Result) != summary(ref) {
-				t.Errorf("Start(config) counts differ from Run(campaign): %+v vs %+v",
-					summary(refOut.Result), summary(ref))
-			}
-			if !bytes.Equal(refTrace.Bytes(), traces[0].Bytes()) {
-				t.Error("Start(config) trace differs from Run(campaign)")
-			}
-
-			d := cc.withDefaults()
-			camp, err := d.campaign()
+			refOut, refTrace := outs[0], traces[0]
+			camp, err := newCampaign(cc, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var stops []int
-			for _, fam := range buildFamilies(camp.withDefaults(), d.total()) {
+			for _, fam := range buildFamilies(camp, camp.total()) {
 				if len(fam) >= 2 {
 					stops = append(stops, fam[0]+1) // cuts this family
 					break
@@ -351,7 +307,7 @@ func TestThreadCountInvariance(t *testing.T) {
 			}
 			legThreads := []int{4, 1, 2}
 			for i, stop := range stops {
-				if stop <= 0 || stop >= d.total() {
+				if stop <= 0 || stop >= camp.total() {
 					continue
 				}
 				tr1 := telemetry.NewTracker()
@@ -411,17 +367,14 @@ func summary(r *Result) [7]int {
 // Threads=4, Iterations=10 silently ran 12). Tests + InvalidInputs +
 // skipped pairs must equal the requested total.
 func TestExactIterationCount(t *testing.T) {
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFLIA},
+	res := mustRun(t, CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_LIA"},
 		Iterations: 10,
 		SeedPool:   4,
 		Seed:       7,
 		Threads:    4,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Tests > 10 {
 		t.Errorf("ran %d tests, want at most the requested 10", res.Tests)
 	}

@@ -29,20 +29,17 @@ func TestModelValidationOracleFindsInjected(t *testing.T) {
 		solver.DefModelStaleSimplex,
 		solver.DefModelStrLenTruncate,
 	}
-	base := Campaign{
-		SUT:           bugdb.CVC4Sim,
+	base := CampaignConfig{
+		SUT:           "cvc4sim",
 		Release:       "1.5",
-		Logics:        []gen.Logic{gen.QFLIA, gen.QFS},
+		Logics:        []string{"QF_LIA", "QF_S"},
 		Iterations:    shortIters(60),
 		SeedPool:      8,
 		Seed:          19,
 		Threads:       2,
-		InjectDefects: injected,
+		InjectDefects: []string{string(injected[0]), string(injected[1])},
 	}
-	res, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, base)
 	if res.ReferenceDisagreements != 0 {
 		t.Fatalf("reference disagreements: %d", res.ReferenceDisagreements)
 	}
@@ -64,10 +61,7 @@ func TestModelValidationOracleFindsInjected(t *testing.T) {
 	// still fire on every sat model, but nothing may be reported.
 	off := base
 	off.DisableModelCheck = true
-	ctl, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := mustRun(t, off)
 	for _, d := range injected {
 		if _, ok := ctl.BugByDefect(d); ok {
 			t.Errorf("%s found without the model-validation oracle — it is not a model-only defect", d)
@@ -122,18 +116,15 @@ func TestReferenceModelValidationClean(t *testing.T) {
 	}
 
 	// Through the campaign loop too: armed oracle, defect-free slice.
-	res, err := Run(Campaign{
-		SUT:        bugdb.CVC4Sim,
+	res := mustRun(t, CampaignConfig{
+		SUT:        "cvc4sim",
 		Release:    "1.5",
-		Logics:     []gen.Logic{gen.LRA},
+		Logics:     []string{"LRA"},
 		Iterations: shortIters(60),
 		SeedPool:   8,
 		Seed:       23,
 		Threads:    2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.ReferenceDisagreements != 0 {
 		t.Fatalf("reference disagreements with model oracle armed: %d", res.ReferenceDisagreements)
 	}
@@ -152,19 +143,16 @@ func TestReferenceModelValidationClean(t *testing.T) {
 // campaign must reproduce this catalogued defect; the fusion campaign
 // on the same coordinates must miss it.
 func TestMutationCampaignFindsGuardCollapse(t *testing.T) {
-	base := Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFNRA},
+	base := CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_NRA"},
 		Iterations: shortIters(150),
 		SeedPool:   8,
 		Seed:       31,
 		Threads:    2,
-		Mode:       ModeMutate,
+		Mode:       "mutate",
 	}
-	res, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, base)
 	if res.ReferenceDisagreements != 0 {
 		t.Fatalf("mutation campaign reference disagreements: %d", res.ReferenceDisagreements)
 	}
@@ -181,11 +169,8 @@ func TestMutationCampaignFindsGuardCollapse(t *testing.T) {
 	}
 
 	fusion := base
-	fusion.Mode = ModeFusion
-	ctl, err := Run(fusion)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fusion.Mode = "fusion"
+	ctl := mustRun(t, fusion)
 	if _, ok := ctl.BugByDefect(solver.DefLeGuardCollapse); ok {
 		t.Errorf("fusion campaign unexpectedly built the guard-collapse shape")
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bugdb"
-	"repro/internal/gen"
 	"repro/internal/telemetry"
 )
 
@@ -14,17 +13,14 @@ import (
 // like zero does.
 func TestThreadsClampNegative(t *testing.T) {
 	for _, threads := range []int{-1, -8, 0} {
-		res, err := Run(Campaign{
-			SUT:        bugdb.Z3Sim,
-			Logics:     []gen.Logic{gen.QFLIA},
+		res := mustRun(t, CampaignConfig{
+			SUT:        "z3sim",
+			Logics:     []string{"QF_LIA"},
 			Iterations: 3,
 			SeedPool:   2,
 			Seed:       5,
 			Threads:    threads,
 		})
-		if err != nil {
-			t.Fatalf("Threads=%d: %v", threads, err)
-		}
 		if res.Tests+res.InvalidInputs == 0 {
 			t.Errorf("Threads=%d ran nothing", threads)
 		}
@@ -36,20 +32,19 @@ func runTraced(t *testing.T, threads int) (*Result, telemetry.Snapshot, []TraceR
 	t.Helper()
 	tr := telemetry.NewTracker()
 	var buf bytes.Buffer
-	res, err := Run(Campaign{
-		SUT:        bugdb.Z3Sim,
-		Logics:     []gen.Logic{gen.QFLIA, gen.QFS},
+	out, err := Start(CampaignConfig{
+		SUT:        "z3sim",
+		Logics:     []string{"QF_LIA", "QF_S"},
 		Iterations: shortIters(40),
 		SeedPool:   6,
 		Seed:       99,
 		Threads:    threads,
-		Mode:       ModeBoth,
-		Telemetry:  tr,
-		Trace:      &buf,
-	})
+		Mode:       "both",
+	}, RunOptions{Telemetry: tr, Trace: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	raw := append([]byte(nil), buf.Bytes()...)
 	recs, err := DecodeTrace(&buf)
 	if err != nil {

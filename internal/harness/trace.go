@@ -111,7 +111,7 @@ type TraceRecord struct {
 	VariantBackends map[string]string `json:"variant_backends,omitempty"`
 }
 
-// ReadTrace parses a JSONL trace file written via Campaign.Trace.
+// ReadTrace parses a JSONL trace file written via RunOptions.Trace.
 func ReadTrace(path string) ([]TraceRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -224,7 +224,7 @@ func (rc *recorder) vetted(tries []int, deltas []telemetry.Snapshot) {
 // task records one classified task: the worker's engine-counter delta,
 // the funnel increments implied by how applyOutcome changed the Result,
 // and the trace record.
-func (rc *recorder) task(cfg Campaign, out taskOutcome, prev resCounts, res *Result) {
+func (rc *recorder) task(cfg *campaign, out taskOutcome, prev resCounts, res *Result) {
 	if !rc.active() {
 		return
 	}
@@ -279,14 +279,14 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome, prev resCounts, res *Res
 	rec := TraceRecord{
 		Schema:       TraceSchema,
 		CampaignSeed: cfg.Seed,
-		Logic:        string(cfg.Logics[logicIdx]),
+		Logic:        cfg.Logics[logicIdx],
 		Iteration:    iter,
 		Iterations:   cfg.Iterations,
 		SeedPool:     cfg.SeedPool,
 		ConcatOnly:   cfg.ConcatOnly,
 		Fuel:         cfg.Fuel,
-		CampaignMode: string(cfg.Mode),
-		SUT:          string(cfg.SUT),
+		CampaignMode: cfg.Mode,
+		SUT:          cfg.SUT,
 		Release:      cfg.Release,
 		Task:         out.id,
 		FuelSpent:    fuelSpent,
@@ -333,11 +333,11 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome, prev resCounts, res *Res
 		if len(out.backendRuns) > 0 {
 			rec.Backends = make(map[string]string, len(out.backendRuns))
 			for i, o := range out.backendRuns {
-				rec.Backends[cfg.Backends[i].Name] = o.Verdict.String()
+				rec.Backends[cfg.specs[i].Name] = o.Verdict.String()
 			}
 		}
-		if cfg.Oracle != "" && cfg.Oracle != OracleKnown {
-			rec.OraclePolicy = string(cfg.Oracle)
+		if cfg.Oracle != string(OracleKnown) {
+			rec.OraclePolicy = cfg.Oracle
 			rec.Consensus = out.consensus
 			if out.variant != nil {
 				rec.MetaRelation = out.variant.Rel.String()
@@ -346,7 +346,7 @@ func (rc *recorder) task(cfg Campaign, out taskOutcome, prev resCounts, res *Res
 				if len(out.variantBackends) > 0 {
 					rec.VariantBackends = make(map[string]string, len(out.variantBackends))
 					for i, o := range out.variantBackends {
-						rec.VariantBackends[cfg.Backends[i].Name] = o.Verdict.String()
+						rec.VariantBackends[cfg.specs[i].Name] = o.Verdict.String()
 					}
 				}
 			}

@@ -50,8 +50,9 @@ type (
 	Generator = gen.Generator
 	// Logic names a seed family.
 	Logic = gen.Logic
-	// Campaign configures a fuzzing run.
-	Campaign = harness.Campaign
+	// Campaign configures a fuzzing run (the harness's one campaign
+	// configuration).
+	Campaign = harness.CampaignConfig
 	// CampaignResult is a fuzzing run's findings.
 	CampaignResult = harness.Result
 	// Bug is one deduplicated finding.
@@ -125,7 +126,13 @@ func NewSUT(s SUT, release string) (*Solver, error) {
 func Solve(s *Solver, sc *Script) harness.RunResult { return harness.RunSolver(s, sc) }
 
 // RunCampaign executes a fuzzing campaign (the paper's Algorithm 1).
-func RunCampaign(c Campaign) (*CampaignResult, error) { return harness.Run(c) }
+func RunCampaign(c Campaign) (*CampaignResult, error) {
+	out, err := harness.Start(c, harness.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
+}
 
 // ReduceScript shrinks a script while the predicate stays true.
 func ReduceScript(s *Script, interesting func(*Script) bool) *Script {

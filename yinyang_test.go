@@ -61,8 +61,8 @@ func TestFacadeSUTVersions(t *testing.T) {
 
 func TestFacadeCampaignSmoke(t *testing.T) {
 	res, err := yinyang.RunCampaign(yinyang.Campaign{
-		SUT:        yinyang.Z3Sim,
-		Logics:     []yinyang.Logic{yinyang.QF_LRA},
+		SUT:        string(yinyang.Z3Sim),
+		Logics:     []string{string(yinyang.QF_LRA)},
 		Iterations: 25,
 		SeedPool:   8,
 		Seed:       5,
@@ -75,6 +75,20 @@ func TestFacadeCampaignSmoke(t *testing.T) {
 	}
 	if res.ReferenceDisagreements != 0 {
 		t.Errorf("reference disagreements: %d", res.ReferenceDisagreements)
+	}
+}
+
+// TestFacadeCampaignRejectsNegativeSizes: the façade runs campaigns
+// through the harness's one validation step, so negative sizes are
+// configuration errors — they once reached make() and panicked.
+func TestFacadeCampaignRejectsNegativeSizes(t *testing.T) {
+	for _, c := range []yinyang.Campaign{
+		{SUT: string(yinyang.Z3Sim), Logics: []string{string(yinyang.QF_LIA)}, Iterations: -1, SeedPool: 4},
+		{SUT: string(yinyang.Z3Sim), Logics: []string{string(yinyang.QF_LIA)}, Iterations: 4, SeedPool: -1},
+	} {
+		if _, err := yinyang.RunCampaign(c); err == nil {
+			t.Errorf("RunCampaign accepted iterations=%d seed_pool=%d", c.Iterations, c.SeedPool)
+		}
 	}
 }
 
