@@ -191,6 +191,7 @@ echo "== fuzz smoke =="
 go test -fuzz='^FuzzParsePrintRoundTrip$' -fuzztime=10s ./internal/smtlib/
 go test -fuzz='^FuzzEvalTotal$' -fuzztime=10s ./internal/eval/
 go test -fuzz='^FuzzAnalyze$' -fuzztime=10s ./internal/analysis/
+go test -run='^$' -fuzz='^FuzzParseVerdict$' -fuzztime=10s ./internal/backend/
 # -run='^$' skips the harness's (slow) unit tests here; the race
 # stages above already ran them.
 go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime=10s ./internal/harness/

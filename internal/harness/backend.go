@@ -128,19 +128,29 @@ type BackendFinding struct {
 	Task     int // global task index, for trace correlation
 }
 
-// bkKey dedups backend findings: one bundle per (backend, kind,
+// findingKey dedups backend findings: one bundle per (voter, kind,
 // observed-vs-oracle shape); re-triggers only bump the report tallies.
-type bkKey struct {
-	backendIdx int
-	kind       bugdb.BugType
-	oracle     string
-	observed   string
+// Voters are keyed by name — names are unique and Validate reserves
+// "sut" — so checkpoints and shard envelopes rebuild the key from a
+// recorded finding alone.
+type findingKey struct {
+	voter    string
+	kind     bugdb.BugType
+	oracle   string
+	observed string
 }
 
-// backendTriage is the in-order classification state for backend
-// cross-checks (created once per Run when backends are configured).
-type backendTriage struct {
-	seen map[bkKey]bool
+// keyOf builds the dedup key of a finding. The oracle participates only
+// for the disagreement-shaped kinds: a hang or garble is the same
+// failure whatever the expected status, but a contradicted oracle, an
+// outvoted verdict or a pair violation is a distinct observation per
+// reference it contradicts.
+func keyOf(voter string, kind bugdb.BugType, oracle, observed string) findingKey {
+	k := findingKey{voter: voter, kind: kind, observed: observed}
+	if kind == bugdb.Disagreement || kind == bugdb.MajorityDisagreement || kind == bugdb.MetamorphicViolation {
+		k.oracle = oracle
+	}
+	return k
 }
 
 // runBackends performs the cross-checks for one task. Called on the
@@ -161,56 +171,15 @@ func runBackends(bks []backend.Backend, sc *smtlib.Script) []backend.Output {
 // report tallies, deduplicated findings, and reproducer bundles. It
 // runs in the in-order classification stage, so finding order and
 // artifact contents are deterministic for hermetic backends.
-func classifyBackends(res *Result, cfg *campaign, aw *artifactWriter, bt *backendTriage, out taskOutcome) {
+func classifyBackends(cfg *campaign, st *runState, out *taskOutcome) {
 	oracle := out.oracle()
-	logic := cfg.logic(out.id)
 	for i, o := range out.backendRuns {
-		rep := &res.Backends[i]
-		kind, skipped := tallyBackend(rep, o)
-		if skipped {
-			continue
-		}
-		if vote, definite := backendStatus(o.Verdict); contradicts(vote, definite, oracle) {
-			rep.Disagreements++
+		kind := tallyBackend(&st.res.Backends[i], o)
+		if contradicts(o.Verdict, oracle) {
 			kind = bugdb.Disagreement
 		}
-		if kind == "" {
-			continue
-		}
-		key := bkKey{backendIdx: i, kind: kind, observed: o.Verdict.String()}
-		if kind == bugdb.Disagreement {
-			// Only disagreements dedup per oracle: sat-claimed-unsat and
-			// unsat-claimed-sat are distinct observations, while a hang or
-			// garble is the same failure whatever the expected status.
-			key.oracle = oracle.String()
-		}
-		if bt.seen[key] {
-			continue
-		}
-		bt.seen[key] = true
-		f := BackendFinding{
-			Backend:  cfg.specs[i].Name,
-			Kind:     kind,
-			Logic:    string(logic),
-			Oracle:   oracle.String(),
-			Observed: o.Verdict.String(),
-			Reason:   o.Reason,
-			ExitCode: o.ExitCode,
-			Stderr:   o.Stderr,
-			Retries:  o.Retries,
-			Task:     out.id,
-		}
-		res.BackendFindings = append(res.BackendFindings, f)
-		if aw != nil {
-			m := manifestFor(cfg, out, "backend-"+string(kind), "")
-			m.Backend = f.Backend
-			m.BackendArgv = cfg.specs[i].Argv
-			m.BackendExit = o.ExitCode
-			m.BackendStderr = o.Stderr
-			m.BackendRetries = o.Retries
-			m.Observed = f.Observed
-			m.Reason = f.Reason
-			aw.write(m, out.ancestors, out.testScript(), out.id)
+		if kind != "" {
+			recordFinding(cfg, st, out, i+1, kind, oracle.String(), o.Verdict.String(), o.Reason)
 		}
 	}
 	// Metamorphic-variant solves consume the same backend budget as
@@ -219,17 +188,17 @@ func classifyBackends(res *Result, cfg *campaign, aw *artifactWriter, bt *backen
 	// status for the differential oracle to check against — violations
 	// of the pair relation are classifyConsensus's business.
 	for i, o := range out.variantBackends {
-		tallyBackend(&res.Backends[i], o)
+		tallyBackend(&st.res.Backends[i], o)
 	}
 }
 
 // tallyBackend folds one backend output into its report tallies and
 // returns the contained-failure kind it classifies as ("" for parsed
-// verdicts) plus whether the check was suppressed by an open breaker.
-func tallyBackend(rep *BackendReport, o backend.Output) (kind bugdb.BugType, skipped bool) {
+// verdicts and for checks suppressed by an open breaker).
+func tallyBackend(rep *BackendReport, o backend.Output) (kind bugdb.BugType) {
 	if o.Verdict == backend.Quarantined {
 		rep.Skipped++
-		return "", true
+		return ""
 	}
 	rep.Checks++
 	rep.Retries += o.Retries
@@ -252,7 +221,93 @@ func tallyBackend(rep *BackendReport, o backend.Output) (kind bugdb.BugType, ski
 	case backend.Fault:
 		rep.Faults++ // our adapter's bug: tallied, never a finding
 	}
-	return kind, false
+	return kind
+}
+
+// recordFinding records one finding against voter i of the task's vote
+// vector (0 = the SUT, i > 0 = backend i-1): a known-status
+// disagreement or contained failure, an outvoted verdict, or a
+// metamorphic pair violation. It is the only place a BackendFinding is
+// made. Every occurrence bumps the voter's tally; only the first per
+// findingKey is recorded, triaged (an SUT finding to the catalogued
+// defect its runs fired) and written as a bundle carrying the backend's
+// post-mortem and the policy's vote vector or variant pair.
+func recordFinding(cfg *campaign, st *runState, out *taskOutcome, i int, kind bugdb.BugType, oracle, observed, reason string) {
+	res := st.res
+	outvoted, violations := &res.SutOutvoted, &res.SutViolations
+	if i > 0 {
+		rep := &res.Backends[i-1]
+		outvoted, violations = &rep.Outvoted, &rep.Violations
+		if kind == bugdb.Disagreement {
+			rep.Disagreements++
+		}
+	}
+	switch kind {
+	case bugdb.MajorityDisagreement:
+		*outvoted++
+	case bugdb.MetamorphicViolation:
+		*violations++
+	}
+	name := voterName(cfg, i)
+	key := keyOf(name, kind, oracle, observed)
+	if st.seen[key] {
+		return
+	}
+	st.seen[key] = true
+
+	// The SUT runs in-process: no post-mortem, but a defect to triage
+	// to, like a known-status soundness finding. A backend's post-mortem
+	// is its primary check's — for a pair violation the variant check's,
+	// charged with both checks' retries.
+	pm := backend.Output{ExitCode: -1}
+	var defect solver.Defect
+	if i == 0 {
+		fired := out.run.DefectsFired
+		if kind == bugdb.MetamorphicViolation {
+			fired = append(append([]solver.Defect(nil), fired...), out.variantRun.DefectsFired...)
+		}
+		defect, _ = primaryDefect(fired, bugdb.Soundness)
+	} else {
+		pm = out.backendRuns[i-1]
+		if kind == bugdb.MetamorphicViolation {
+			vo := out.variantBackends[i-1]
+			vo.Retries += pm.Retries
+			pm = vo
+		}
+	}
+	res.BackendFindings = append(res.BackendFindings, BackendFinding{
+		Backend:  name,
+		Kind:     kind,
+		Logic:    string(cfg.logic(out.id)),
+		Oracle:   oracle,
+		Observed: observed,
+		Reason:   reason,
+		Defect:   string(defect),
+		ExitCode: pm.ExitCode,
+		Stderr:   pm.Stderr,
+		Retries:  pm.Retries,
+		Task:     out.id,
+	})
+	if st.aw == nil {
+		return
+	}
+	m := manifestFor(cfg, *out, "backend-"+string(kind), defect)
+	m.Backend, m.Oracle, m.Observed, m.Reason = name, oracle, observed, reason
+	if i > 0 {
+		m.BackendArgv = cfg.specs[i-1].Argv
+		m.BackendExit, m.BackendStderr, m.BackendRetries = pm.ExitCode, pm.Stderr, pm.Retries
+	}
+	var extra map[string]string
+	switch kind {
+	case bugdb.MajorityDisagreement:
+		m.OraclePolicy, m.Quorum, m.Consensus = cfg.Oracle, cfg.Quorum, oracle
+		m.Votes = voteVector(cfg, votes(out.run, out.backendRuns))
+	case bugdb.MetamorphicViolation:
+		m.OraclePolicy, m.MetaRelation, m.MetaRules = cfg.Oracle, oracle, out.variant.Rules
+		m.VariantVerdicts = voteVector(cfg, votes(out.variantRun, out.variantBackends))
+		extra = map[string]string{"variant.smt2": smtlib.Print(out.variant.Script)}
+	}
+	st.aw.writeExtra(m, out.ancestors, out.testScript(), out.id, extra)
 }
 
 // finishBackends fills the end-of-campaign breaker states into the

@@ -473,22 +473,9 @@ func bugFromSaved(sb savedBug) (Bug, error) {
 // textually canonical but not pointer-identical.)
 func (r *Result) Fingerprint() []byte {
 	s := savedState{
-		Tests:                  r.Tests,
-		Unknowns:               r.Unknowns,
-		Duplicates:             r.Duplicates,
-		ReferenceDisagreements: r.ReferenceDisagreements,
-		InvalidInputs:          r.InvalidInputs,
-		Timeouts:               r.Timeouts,
-		Quarantined:            r.Quarantined,
-		OracleVotes:            r.OracleVotes,
-		OracleConsensus:        r.OracleConsensus,
-		OracleAbstained:        r.OracleAbstained,
-		SutOutvoted:            r.SutOutvoted,
-		MetamorphicPairs:       r.MetamorphicPairs,
-		MetamorphicSkips:       r.MetamorphicSkips,
-		SutViolations:          r.SutViolations,
-		Backends:               r.Backends,
-		BackendFindings:        r.BackendFindings,
+		tally:           r.tally,
+		Backends:        r.Backends,
+		BackendFindings: r.BackendFindings,
 	}
 	for _, b := range r.Bugs {
 		s.Bugs = append(s.Bugs, savedBugOf(b))
@@ -518,24 +505,7 @@ type breakerState struct {
 // map is reconstructible from them), the backend triage and breaker
 // state, and the artifact refs.
 type savedState struct {
-	Tests                  int `json:"tests"`
-	Unknowns               int `json:"unknowns,omitempty"`
-	Duplicates             int `json:"duplicates,omitempty"`
-	ReferenceDisagreements int `json:"reference_disagreements,omitempty"`
-	InvalidInputs          int `json:"invalid_inputs,omitempty"`
-	Timeouts               int `json:"timeouts,omitempty"`
-	Quarantined            int `json:"quarantined,omitempty"`
-
-	// Consensus-oracle tallies, mirroring the Result fields. omitempty
-	// keeps known-policy documents byte-identical to pre-consensus ones.
-	OracleVotes      int `json:"oracle_votes,omitempty"`
-	OracleConsensus  int `json:"oracle_consensus,omitempty"`
-	OracleAbstained  int `json:"oracle_abstained,omitempty"`
-	SutOutvoted      int `json:"sut_outvoted,omitempty"`
-	MetamorphicPairs int `json:"metamorphic_pairs,omitempty"`
-	MetamorphicSkips int `json:"metamorphic_skips,omitempty"`
-	SutViolations    int `json:"sut_violations,omitempty"`
-
+	tally
 	Bugs            []savedBug       `json:"bugs,omitempty"`
 	Backends        []BackendReport  `json:"backends,omitempty"`
 	BackendFindings []BackendFinding `json:"backend_findings,omitempty"`
@@ -548,22 +518,9 @@ type savedState struct {
 func captureState(cfg *campaign, st *runState) savedState {
 	res := st.res
 	s := savedState{
-		Tests:                  res.Tests,
-		Unknowns:               res.Unknowns,
-		Duplicates:             res.Duplicates,
-		ReferenceDisagreements: res.ReferenceDisagreements,
-		InvalidInputs:          res.InvalidInputs,
-		Timeouts:               res.Timeouts,
-		Quarantined:            res.Quarantined,
-		OracleVotes:            res.OracleVotes,
-		OracleConsensus:        res.OracleConsensus,
-		OracleAbstained:        res.OracleAbstained,
-		SutOutvoted:            res.SutOutvoted,
-		MetamorphicPairs:       res.MetamorphicPairs,
-		MetamorphicSkips:       res.MetamorphicSkips,
-		SutViolations:          res.SutViolations,
-		Backends:               append([]BackendReport(nil), res.Backends...),
-		BackendFindings:        append([]BackendFinding(nil), res.BackendFindings...),
+		tally:           res.tally,
+		Backends:        append([]BackendReport(nil), res.Backends...),
+		BackendFindings: append([]BackendFinding(nil), res.BackendFindings...),
 	}
 	for _, b := range res.Bugs {
 		s.Bugs = append(s.Bugs, savedBugOf(b))
@@ -584,20 +541,7 @@ func captureState(cfg *campaign, st *runState) savedState {
 func restoreState(cfg *campaign, s savedState) (*runState, error) {
 	st := newRunState(cfg)
 	res := st.res
-	res.Tests = s.Tests
-	res.Unknowns = s.Unknowns
-	res.Duplicates = s.Duplicates
-	res.ReferenceDisagreements = s.ReferenceDisagreements
-	res.InvalidInputs = s.InvalidInputs
-	res.Timeouts = s.Timeouts
-	res.Quarantined = s.Quarantined
-	res.OracleVotes = s.OracleVotes
-	res.OracleConsensus = s.OracleConsensus
-	res.OracleAbstained = s.OracleAbstained
-	res.SutOutvoted = s.SutOutvoted
-	res.MetamorphicPairs = s.MetamorphicPairs
-	res.MetamorphicSkips = s.MetamorphicSkips
-	res.SutViolations = s.SutViolations
+	res.tally = s.tally
 	for i, sb := range s.Bugs {
 		b, err := bugFromSaved(sb)
 		if err != nil {
@@ -611,16 +555,8 @@ func restoreState(cfg *campaign, s savedState) (*runState, error) {
 	}
 	res.Backends = append(res.Backends[:0], s.Backends...)
 	res.BackendFindings = append([]BackendFinding(nil), s.BackendFindings...)
-	nameIdx := map[string]int{"sut": -1}
-	for i, spec := range cfg.specs {
-		nameIdx[spec.Name] = i
-	}
 	for _, f := range res.BackendFindings {
-		i, ok := nameIdx[f.Backend]
-		if !ok {
-			return nil, fmt.Errorf("backend finding names unknown backend %q", f.Backend)
-		}
-		st.bt.seen[findingKey(i, f)] = true
+		st.seen[keyOf(f.Backend, f.Kind, f.Oracle, f.Observed)] = true
 	}
 	if len(s.Breakers) != 0 && len(s.Breakers) != len(cfg.specs) {
 		return nil, fmt.Errorf("state carries %d breaker entries for %d configured backends", len(s.Breakers), len(cfg.specs))
@@ -1071,7 +1007,7 @@ func runConfig(cc CampaignConfig, opt RunOptions, cp *Checkpoint, table []core.F
 			Trace:     traceBytes,
 		}
 	}
-	res, err := finish(cfg, st)
+	res, err := finish(st)
 	if err != nil {
 		return nil, err
 	}

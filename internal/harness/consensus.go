@@ -7,8 +7,6 @@ import (
 	"repro/internal/bugdb"
 	"repro/internal/core"
 	"repro/internal/mutate"
-	"repro/internal/smtlib"
-	"repro/internal/solver"
 	"repro/internal/telemetry"
 )
 
@@ -27,106 +25,57 @@ var (
 	coViolation = telemetry.NewCounter("yy_oracle_violations_total", "metamorphic pair-relation violations observed, SUT included")
 )
 
-// voter is one participant in a consensus vote: the solver under test
-// (idx -1, pseudo-name "sut") or a cross-check backend, with its
-// classified verdict for the task plus the post-mortem fields a
-// finding would carry.
-type voter struct {
-	idx      int // backend index; -1 for the SUT
-	name     string
-	verdict  string // classified verdict label, as traced
-	definite bool
-	vote     core.Status // valid only when definite
-	reason   string
-	exitCode int
-	stderr   string
-	retries  int
-}
-
-// sutStatus classifies the SUT's run as a consensus vote: a definite
-// verdict, or an abstention label ("crash", "timeout", "unknown").
-func sutStatus(run RunResult) (label string, vote core.Status, definite bool) {
+// sutOutput normalizes the SUT's run to the backend.Output the sim
+// adapter (backend.NewSim) produces for the same solver, so the SUT is
+// judged as one more voter: a crash is Crash with the crash message as
+// its reason, anything else maps through backend.FromResult. The SUT is
+// in-process, so it has no exit status, stderr, or retries.
+func sutOutput(run RunResult) backend.Output {
 	if run.Crashed {
-		return "crash", 0, false
+		return backend.Output{Verdict: backend.Crash, Reason: run.CrashMsg, ExitCode: -1}
 	}
-	switch run.Result {
-	case solver.ResSat:
-		return "sat", core.StatusSat, true
-	case solver.ResUnsat:
-		return "unsat", core.StatusUnsat, true
-	default:
-		return run.Result.String(), 0, false
-	}
+	return backend.Output{Verdict: backend.FromResult(run.Result), Reason: run.Reason, ExitCode: -1}
 }
 
-// backendStatus classifies a backend output as a consensus vote.
-func backendStatus(v backend.Verdict) (vote core.Status, definite bool) {
-	switch v {
-	case backend.Sat:
-		return core.StatusSat, true
-	case backend.Unsat:
-		return core.StatusUnsat, true
-	default:
-		return 0, false
-	}
+// votes assembles one solve's vote vector: the SUT as voter 0, then the
+// backends in configuration order. Every voter appears — abstainers
+// included — so the manifest records the full vector.
+func votes(run RunResult, bks []backend.Output) []backend.Output {
+	return append([]backend.Output{sutOutput(run)}, bks...)
 }
 
-// voters assembles the task's vote vector in canonical order: the SUT
-// first, then the backends in configuration order. Every voter appears
-// — abstainers included — so the manifest records the full vector.
-func voters(cfg *campaign, out *taskOutcome) []voter {
-	vs := make([]voter, 0, 1+len(out.backendRuns))
-	label, vote, def := sutStatus(out.run)
-	reason := out.run.Reason
-	if out.run.Crashed {
-		reason = out.run.CrashMsg
+// voterName names voter i of a vote vector: "sut" for voter 0 (Validate
+// reserves the name), the backend's configured name otherwise.
+func voterName(cfg *campaign, i int) string {
+	if i == 0 {
+		return "sut"
 	}
-	vs = append(vs, voter{idx: -1, name: "sut", verdict: label,
-		definite: def, vote: vote, reason: reason, exitCode: -1})
-	for i, o := range out.backendRuns {
-		vote, def := backendStatus(o.Verdict)
-		vs = append(vs, voter{idx: i, name: cfg.specs[i].Name,
-			verdict: o.Verdict.String(), definite: def, vote: vote,
-			reason: o.Reason, exitCode: o.ExitCode, stderr: o.Stderr,
-			retries: o.Retries})
-	}
-	return vs
+	return cfg.specs[i-1].Name
 }
 
-// voteVector renders the full vote vector for the reproducer manifest.
-func voteVector(vs []voter) []string {
+// voteVector renders a vote vector — the primary solve's or the
+// variant's — for the reproducer manifest.
+func voteVector(cfg *campaign, vs []backend.Output) []string {
 	out := make([]string, len(vs))
 	for i, v := range vs {
-		out[i] = v.name + "=" + v.verdict
+		out[i] = voterName(cfg, i) + "=" + v.Verdict.String()
 	}
 	return out
-}
-
-// variantVector renders the variant solve's verdict vector (SUT first,
-// then backends) for metamorphic finding manifests.
-func variantVector(cfg *campaign, out *taskOutcome) []string {
-	label, _, _ := sutStatus(out.variantRun)
-	vec := make([]string, 0, 1+len(out.variantBackends))
-	vec = append(vec, "sut="+label)
-	for i, o := range out.variantBackends {
-		vec = append(vec, cfg.specs[i].Name+"="+o.Verdict.String())
-	}
-	return vec
 }
 
 // classifyConsensus applies the configured consensus policies to one
 // unknown-status task. It runs after classify/classifyBackends in the
 // in-order classification stage — known-status tasks (and the known
 // policy) never reach the body, so the legacy funnel is untouched.
-func classifyConsensus(res *Result, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func classifyConsensus(cfg *campaign, st *runState, out *taskOutcome) {
 	if !out.tested || out.oracle() != core.StatusUnknown {
 		return
 	}
 	if cfg.majority() {
-		classifyMajority(res, cfg, aw, bt, out)
+		classifyMajority(cfg, st, out)
 	}
 	if cfg.metamorphic() {
-		classifyMetamorphic(res, cfg, aw, bt, out)
+		classifyMetamorphic(cfg, st, out)
 	}
 }
 
@@ -135,102 +84,50 @@ func classifyConsensus(res *Result, cfg *campaign, aw *artifactWriter, bt *backe
 // with fewer than Quorum definite verdicts — or a tie — abstains: an
 // abstention is a statement about the vote, not about any solver, so
 // it produces no finding.
-func classifyMajority(res *Result, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
-	vs := voters(cfg, out)
+func classifyMajority(cfg *campaign, st *runState, out *taskOutcome) {
+	res := st.res
+	vs := votes(out.run, out.backendRuns)
 	sat, unsat := 0, 0
 	for _, v := range vs {
-		if !v.definite {
-			continue
-		}
-		res.OracleVotes++
-		if v.vote == core.StatusSat {
+		switch v.Verdict {
+		case backend.Sat:
 			sat++
-		} else {
+		case backend.Unsat:
 			unsat++
 		}
 	}
+	res.OracleVotes += sat + unsat
 	if sat+unsat < cfg.Quorum || sat == unsat {
 		res.OracleAbstained++
 		out.consensus = "abstained"
 		return
 	}
-	consensus, winners, losers := core.StatusSat, sat, unsat
+	consensus, winners, losers := backend.Sat, sat, unsat
 	if unsat > sat {
-		consensus, winners, losers = core.StatusUnsat, unsat, sat
+		consensus, winners, losers = backend.Unsat, unsat, sat
 	}
 	res.OracleConsensus++
 	out.consensus = consensus.String()
-	logic := cfg.logic(out.id)
-	for _, v := range vs {
-		if !v.definite || v.vote == consensus {
-			continue
-		}
-		if v.idx < 0 {
-			res.SutOutvoted++
-		} else {
-			res.Backends[v.idx].Outvoted++
-		}
-		key := bkKey{backendIdx: v.idx, kind: bugdb.MajorityDisagreement,
-			oracle: out.consensus, observed: v.verdict}
-		if bt.seen[key] {
-			continue
-		}
-		bt.seen[key] = true
-		f := BackendFinding{
-			Backend:  v.name,
-			Kind:     bugdb.MajorityDisagreement,
-			Logic:    string(logic),
-			Oracle:   out.consensus,
-			Observed: v.verdict,
-			Reason:   fmt.Sprintf("voted %s, outvoted %d-%d under quorum %d", v.verdict, winners, losers, cfg.Quorum),
-			ExitCode: v.exitCode,
-			Stderr:   v.stderr,
-			Retries:  v.retries,
-			Task:     out.id,
-		}
-		var defect solver.Defect
-		if v.idx < 0 {
-			// The SUT lost the vote: triage the bundle to the catalogued
-			// defect the run fired, like a known-status soundness finding.
-			if d, ok := primaryDefect(out.run.DefectsFired, bugdb.Soundness); ok {
-				defect = d
-				f.Defect = string(d)
-			}
-		}
-		res.BackendFindings = append(res.BackendFindings, f)
-		if aw != nil {
-			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
-			m.Backend = f.Backend
-			if v.idx >= 0 {
-				m.BackendArgv = cfg.specs[v.idx].Argv
-				m.BackendExit = v.exitCode
-				m.BackendStderr = v.stderr
-				m.BackendRetries = v.retries
-			}
-			m.Observed = f.Observed
-			m.Reason = f.Reason
-			m.Oracle = out.consensus
-			m.OraclePolicy = cfg.Oracle
-			m.Quorum = cfg.Quorum
-			m.Votes = voteVector(vs)
-			m.Consensus = out.consensus
-			aw.write(m, out.ancestors, out.testScript(), out.id)
+	for i, v := range vs {
+		if v.Verdict.Definite() && v.Verdict != consensus {
+			recordFinding(cfg, st, out, i, bugdb.MajorityDisagreement, out.consensus, v.Verdict.String(),
+				fmt.Sprintf("voted %s, outvoted %d-%d under quorum %d", v.Verdict, winners, losers, cfg.Quorum))
 		}
 	}
 }
 
 // relationViolated reports whether a definite (orig, variant) verdict
 // pair contradicts the derivation relation.
-func relationViolated(rel mutate.Relation, orig, variant core.Status) bool {
+func relationViolated(rel mutate.Relation, orig, variant backend.Verdict) bool {
 	switch rel {
 	case mutate.RelEquivalent:
 		return orig != variant
 	case mutate.RelWeakened:
 		// original ⇒ variant: a sat original forces a sat variant.
-		return orig == core.StatusSat && variant == core.StatusUnsat
+		return orig == backend.Sat && variant == backend.Unsat
 	default: // RelStrengthened
 		// variant ⇒ original: a sat variant forces a sat original.
-		return variant == core.StatusSat && orig == core.StatusUnsat
+		return variant == backend.Sat && orig == backend.Unsat
 	}
 }
 
@@ -239,7 +136,8 @@ func relationViolated(rel mutate.Relation, orig, variant core.Status) bool {
 // itself — solver-vs-solver discrepancies are the majority policy's
 // business — so a violation implicates exactly one solver with no
 // reference solver in the loop.
-func classifyMetamorphic(res *Result, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func classifyMetamorphic(cfg *campaign, st *runState, out *taskOutcome) {
+	res := st.res
 	if out.variantSkip {
 		res.MetamorphicSkips++
 		return
@@ -249,85 +147,16 @@ func classifyMetamorphic(res *Result, cfg *campaign, aw *artifactWriter, bt *bac
 	}
 	res.MetamorphicPairs++
 	rel := out.variant.Rel
-	logic := cfg.logic(out.id)
-
-	record := func(idx int, name, origV, varV, reason string, exitCode int, stderr string, retries int) {
-		if idx < 0 {
-			res.SutViolations++
-		} else {
-			res.Backends[idx].Violations++
+	// The variant vector can be shorter than the primary (breaker opened
+	// between the two solves); such pairs are incomplete and cannot
+	// violate.
+	vs, vvs := votes(out.run, out.backendRuns), votes(out.variantRun, out.variantBackends)
+	for i := 0; i < len(vs) && i < len(vvs); i++ {
+		o, v := vs[i].Verdict, vvs[i].Verdict
+		if o.Definite() && v.Definite() && relationViolated(rel, o, v) {
+			pair := o.String() + "/" + v.String()
+			recordFinding(cfg, st, out, i, bugdb.MetamorphicViolation, rel.String(), pair,
+				fmt.Sprintf("verdict pair %s violates %s relation", pair, rel))
 		}
-		pair := origV + "/" + varV
-		key := bkKey{backendIdx: idx, kind: bugdb.MetamorphicViolation,
-			oracle: rel.String(), observed: pair}
-		if bt.seen[key] {
-			return
-		}
-		bt.seen[key] = true
-		f := BackendFinding{
-			Backend:  name,
-			Kind:     bugdb.MetamorphicViolation,
-			Logic:    string(logic),
-			Oracle:   rel.String(),
-			Observed: pair,
-			Reason:   reason,
-			ExitCode: exitCode,
-			Stderr:   stderr,
-			Retries:  retries,
-			Task:     out.id,
-		}
-		var defect solver.Defect
-		if idx < 0 {
-			fired := append(append([]solver.Defect(nil), out.run.DefectsFired...), out.variantRun.DefectsFired...)
-			if d, ok := primaryDefect(fired, bugdb.Soundness); ok {
-				defect = d
-				f.Defect = string(d)
-			}
-		}
-		res.BackendFindings = append(res.BackendFindings, f)
-		if aw != nil {
-			m := manifestFor(cfg, *out, "backend-"+string(f.Kind), defect)
-			m.Backend = f.Backend
-			if idx >= 0 {
-				m.BackendArgv = cfg.specs[idx].Argv
-				m.BackendExit = exitCode
-				m.BackendStderr = stderr
-				m.BackendRetries = retries
-			}
-			m.Observed = f.Observed
-			m.Reason = f.Reason
-			m.Oracle = rel.String()
-			m.OraclePolicy = cfg.Oracle
-			m.MetaRelation = rel.String()
-			m.MetaRules = out.variant.Rules
-			m.VariantVerdicts = variantVector(cfg, out)
-			aw.writeExtra(m, out.ancestors, out.testScript(), out.id,
-				map[string]string{"variant.smt2": smtlib.Print(out.variant.Script)})
-		}
-	}
-
-	// The SUT checked against itself.
-	oLabel, oVote, oDef := sutStatus(out.run)
-	vLabel, vVote, vDef := sutStatus(out.variantRun)
-	if oDef && vDef && relationViolated(rel, oVote, vVote) {
-		reason := fmt.Sprintf("verdict pair %s/%s violates %s relation", oLabel, vLabel, rel)
-		record(-1, "sut", oLabel, vLabel, reason, -1, "", 0)
-	}
-	// Each backend checked against itself. The variant run can carry
-	// fewer outputs than the primary (breaker opened between the two
-	// solves); such pairs are incomplete and cannot violate.
-	for i, o := range out.backendRuns {
-		if i >= len(out.variantBackends) {
-			break
-		}
-		vo := out.variantBackends[i]
-		oVote, oDef := backendStatus(o.Verdict)
-		vVote, vDef := backendStatus(vo.Verdict)
-		if !oDef || !vDef || !relationViolated(rel, oVote, vVote) {
-			continue
-		}
-		reason := fmt.Sprintf("verdict pair %s/%s violates %s relation", o.Verdict.String(), vo.Verdict.String(), rel)
-		record(i, cfg.specs[i].Name, o.Verdict.String(), vo.Verdict.String(),
-			reason, vo.ExitCode, vo.Stderr, o.Retries+vo.Retries)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/bugdb"
 	"repro/internal/core"
+	"repro/internal/smtlib"
 	"repro/internal/solver"
 	"repro/internal/telemetry"
 )
@@ -410,9 +411,9 @@ func TestUnknownOracleBackendAbstains(t *testing.T) {
 }
 
 // TestContradictionPredicates pins the tri-state contradiction
-// predicate over both verdict sources — SUT runs normalized by
-// sutStatus, backend verdicts by backendStatus: contradiction requires
-// a definite oracle and the opposite definite verdict; unknown on either
+// predicate over both verdict sources — SUT runs normalized to voter 0
+// by sutOutput, backend verdicts as they come: contradiction requires a
+// definite oracle and the opposite definite verdict; unknown on either
 // side abstains.
 func TestContradictionPredicates(t *testing.T) {
 	sutCases := []struct {
@@ -430,8 +431,7 @@ func TestContradictionPredicates(t *testing.T) {
 		{solver.ResTimeout, core.StatusUnsat, false},
 	}
 	for _, c := range sutCases {
-		_, vote, definite := sutStatus(RunResult{Result: c.res})
-		if got := contradicts(vote, definite, c.oracle); got != c.want {
+		if got := contradicts(sutOutput(RunResult{Result: c.res}).Verdict, c.oracle); got != c.want {
 			t.Errorf("contradicts(sut %v, %v) = %v, want %v", c.res, c.oracle, got, c.want)
 		}
 	}
@@ -450,9 +450,44 @@ func TestContradictionPredicates(t *testing.T) {
 		{backend.Timeout, core.StatusUnsat, false},
 	}
 	for _, c := range bkCases {
-		vote, definite := backendStatus(c.v)
-		if got := contradicts(vote, definite, c.oracle); got != c.want {
+		if got := contradicts(c.v, c.oracle); got != c.want {
 			t.Errorf("contradicts(backend %v, %v) = %v, want %v", c.v, c.oracle, got, c.want)
+		}
+	}
+}
+
+// TestSutVoterMatchesSimAdapter pins the voter-0 mapping: the SUT's
+// run, normalized by sutOutput, reads exactly like the sim adapter's
+// output for the same solver — same verdict, same reason — on sat,
+// unsat, unknown, fuel-timeout, and crash-defect scripts.
+func TestSutVoterMatchesSimAdapter(t *testing.T) {
+	cases := []struct {
+		name, src string
+		want      backend.Verdict
+	}{
+		{"sat", "(set-logic QF_LIA)(declare-fun x () Int)(assert (> x 0))", backend.Sat},
+		{"unsat", "(set-logic QF_LIA)(declare-fun x () Int)(assert (and (> x 0) (< x 0)))", backend.Unsat},
+		{"unknown", "(set-logic LRA)(declare-fun a () Real)(assert (forall ((h Real)) (> h a)))", backend.Unknown},
+		{"timeout", `(set-logic QF_LIA)(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)
+			(assert (and (> (+ (* 3 x) (* 5 y)) 7) (< (+ (* 3 x) (* 5 y)) 9) (= (+ x y z) 4) (> z 2)))`, backend.Timeout},
+		{"crash", "(set-logic QF_NRA)(declare-fun a () Real)(assert (> (/ (+ a 1.0) (+ a 1.0)) 0.0))", backend.Crash},
+	}
+	lim := solver.DefaultLimits()
+	lim.Fuel = 20 // starves the timeout case, leaves the others untouched
+	cfg := solver.Config{Defects: map[solver.Defect]bool{solver.DefCrashSelfDivision: true}, Limits: lim}
+	sut, sim := solver.New(cfg), backend.NewSim("sim", solver.New(cfg))
+	for _, c := range cases {
+		sc, err := smtlib.ParseScript(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, want := sutOutput(RunSolver(sut, sc)), sim.Check(sc)
+		if got.Verdict != c.want {
+			t.Errorf("%s: SUT voter verdict %v, want %v", c.name, got.Verdict, c.want)
+		}
+		if got.Verdict != want.Verdict || got.Reason != want.Reason {
+			t.Errorf("%s: SUT voter (%v, %q) differs from sim adapter (%v, %q)",
+				c.name, got.Verdict, got.Reason, want.Verdict, want.Reason)
 		}
 	}
 }

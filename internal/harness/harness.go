@@ -180,26 +180,8 @@ func (c *campaign) metamorphic() bool {
 
 // Result is the outcome of a campaign.
 type Result struct {
-	Tests      int
-	Unknowns   int
-	Bugs       []Bug // deduplicated by defect site
-	Duplicates int   // additional triggers of already-found defects
-	// ReferenceDisagreements counts oracle mismatches with no defect
-	// fired — these would indicate a bug in the reference solver itself
-	// and must be zero.
-	ReferenceDisagreements int
-	// InvalidInputs counts fused scripts rejected by the static
-	// verification gate (internal/analysis) — generator or fusion
-	// defects triaged separately from solver verdicts.
-	InvalidInputs int
-	// Timeouts counts solves halted by fuel exhaustion. Those caused by
-	// a performance defect also surface as Performance bugs; the rest
-	// are genuinely hard instances.
-	Timeouts int
-	// Quarantined counts inputs withdrawn from classification: internal
-	// faults of our own solver, and runs cut off by the wall-clock
-	// watchdog. They never count as findings.
-	Quarantined int
+	tally
+	Bugs []Bug // deduplicated by defect site
 	// Artifacts lists reproducer bundle directories written this
 	// campaign (empty unless CampaignConfig.ArtifactDir is set).
 	Artifacts []string
@@ -212,24 +194,71 @@ type Result struct {
 	// specific solver (a backend, or the SUT as the "sut" pseudo-voter),
 	// not only a catalogued defect of the SUT.
 	BackendFindings []BackendFinding
+}
+
+// tally is the campaign's counters: the one record Result carries and
+// checkpoints, envelopes and fingerprints serialize (embedded, so its
+// fields flatten into both). Field order and JSON tags are checkpoint
+// schema 1; omitempty keeps known-policy documents byte-identical to
+// pre-consensus ones.
+type tally struct {
+	Tests    int `json:"tests"`
+	Unknowns int `json:"unknowns,omitempty"`
+	// Duplicates counts additional triggers of already-found defects.
+	Duplicates int `json:"duplicates,omitempty"`
+	// ReferenceDisagreements counts oracle mismatches with no defect
+	// fired — these would indicate a bug in the reference solver itself
+	// and must be zero.
+	ReferenceDisagreements int `json:"reference_disagreements,omitempty"`
+	// InvalidInputs counts fused scripts rejected by the static
+	// verification gate (internal/analysis) — generator or fusion
+	// defects triaged separately from solver verdicts.
+	InvalidInputs int `json:"invalid_inputs,omitempty"`
+	// Timeouts counts solves halted by fuel exhaustion. Those caused by
+	// a performance defect also surface as Performance bugs; the rest
+	// are genuinely hard instances.
+	Timeouts int `json:"timeouts,omitempty"`
+	// Quarantined counts inputs withdrawn from classification: internal
+	// faults of our own solver, and runs cut off by the wall-clock
+	// watchdog. They never count as findings.
+	Quarantined int `json:"quarantined,omitempty"`
 
 	// Majority-policy tallies (unknown-status tasks only). OracleVotes
 	// sums the definite votes cast; each judged task counts once under
 	// either OracleConsensus or OracleAbstained; SutOutvoted counts the
 	// SUT's outvoted verdicts, re-triggers included (the per-backend
 	// analogue lives in BackendReport.Outvoted).
-	OracleVotes     int
-	OracleConsensus int
-	OracleAbstained int
-	SutOutvoted     int
+	OracleVotes     int `json:"oracle_votes,omitempty"`
+	OracleConsensus int `json:"oracle_consensus,omitempty"`
+	OracleAbstained int `json:"oracle_abstained,omitempty"`
+	SutOutvoted     int `json:"sut_outvoted,omitempty"`
 	// Metamorphic-policy tallies. MetamorphicPairs counts tasks with a
 	// derived variant pair; MetamorphicSkips counts unknown-status tasks
 	// where no relation-preserving variant could be derived;
 	// SutViolations counts the SUT's pair-relation violations,
 	// re-triggers included (per-backend: BackendReport.Violations).
-	MetamorphicPairs int
-	MetamorphicSkips int
-	SutViolations    int
+	MetamorphicPairs int `json:"metamorphic_pairs,omitempty"`
+	MetamorphicSkips int `json:"metamorphic_skips,omitempty"`
+	SutViolations    int `json:"sut_violations,omitempty"`
+}
+
+// add sums o into t. Every counter is per-occurrence except
+// Duplicates, which a shard merge re-derives from the merged triggers.
+func (t *tally) add(o tally) {
+	t.Tests += o.Tests
+	t.Unknowns += o.Unknowns
+	t.Duplicates += o.Duplicates
+	t.ReferenceDisagreements += o.ReferenceDisagreements
+	t.InvalidInputs += o.InvalidInputs
+	t.Timeouts += o.Timeouts
+	t.Quarantined += o.Quarantined
+	t.OracleVotes += o.OracleVotes
+	t.OracleConsensus += o.OracleConsensus
+	t.OracleAbstained += o.OracleAbstained
+	t.SutOutvoted += o.SutOutvoted
+	t.MetamorphicPairs += o.MetamorphicPairs
+	t.MetamorphicSkips += o.MetamorphicSkips
+	t.SutViolations += o.SutViolations
 }
 
 // BugByDefect returns the bug for a defect, if found.
@@ -470,7 +499,7 @@ type runControls struct {
 type runState struct {
 	res   *Result
 	found map[solver.Defect]int // defect → index into res.Bugs
-	bt    *backendTriage
+	seen  map[findingKey]bool   // backend-finding dedup
 	aw    *artifactWriter
 	// done counts classified tasks, cumulative across resume legs.
 	done int
@@ -485,7 +514,7 @@ func newRunState(cfg *campaign) *runState {
 	st := &runState{
 		res:   res,
 		found: map[solver.Defect]int{},
-		bt:    &backendTriage{seen: map[bkKey]bool{}},
+		seen:  map[findingKey]bool{},
 	}
 	if cfg.ArtifactDir != "" {
 		st.aw = newArtifactWriter(cfg.ArtifactDir)
@@ -494,12 +523,12 @@ func newRunState(cfg *campaign) *runState {
 }
 
 // finish finalizes a completed (or paused, for its partial Result)
-// campaign: sorts the findings, fills breaker states, and surfaces the
-// first artifact-write error.
-func finish(cfg *campaign, st *runState) (*Result, error) {
+// campaign: sorts the findings and surfaces the first artifact-write
+// error. Breaker states are already filled (runConfig fills them before
+// capturing the state).
+func finish(st *runState) (*Result, error) {
 	res := st.res
 	sortBugs(res.Bugs)
-	finishBackends(res, cfg)
 	if st.aw != nil {
 		if st.aw.err != nil {
 			return nil, fmt.Errorf("harness: writing artifacts: %w", st.aw.err)
@@ -695,7 +724,7 @@ func runLeg(cfg *campaign, include []int, st *runState, ctl runControls) (bool, 
 			delete(pending, include[idx])
 			idx++
 			prev := countsOf(st.res)
-			applyOutcome(st.res, st.found, cfg, st.aw, st.bt, &cur)
+			applyOutcome(cfg, st, &cur)
 			rec.task(cfg, cur, prev, st.res)
 			st.done++
 			if ctl.progress != nil {
@@ -853,7 +882,8 @@ func runTaskInner(cfg *campaign, pools []*seedPool, sut *solver.Solver, bks []ba
 	return out
 }
 
-func applyOutcome(res *Result, found map[solver.Defect]int, cfg *campaign, aw *artifactWriter, bt *backendTriage, out *taskOutcome) {
+func applyOutcome(cfg *campaign, st *runState, out *taskOutcome) {
+	res, aw := st.res, st.aw
 	if out.invalid {
 		res.InvalidInputs++
 		return
@@ -887,9 +917,9 @@ func applyOutcome(res *Result, found map[solver.Defect]int, cfg *campaign, aw *a
 		return
 	}
 	res.Tests++
-	classify(res, found, cfg, aw, *out)
-	classifyBackends(res, cfg, aw, bt, *out)
-	classifyConsensus(res, cfg, aw, bt, out)
+	classify(cfg, st, *out)
+	classifyBackends(cfg, st, out)
+	classifyConsensus(cfg, st, out)
 }
 
 // manifestFor assembles the replay coordinates of one task outcome.
@@ -899,6 +929,7 @@ func manifestFor(cfg *campaign, out taskOutcome, bugType string, defect solver.D
 	for _, d := range out.run.DefectsFired {
 		fired = append(fired, string(d))
 	}
+	sut := sutOutput(out.run)
 	m := Manifest{
 		Schema:        ManifestSchema,
 		SUT:           cfg.SUT,
@@ -906,8 +937,8 @@ func manifestFor(cfg *campaign, out taskOutcome, bugType string, defect solver.D
 		BugType:       bugType,
 		Defect:        string(defect),
 		Oracle:        "",
-		Observed:      out.run.Result.String(),
-		Reason:        out.run.Reason,
+		Observed:      sut.Verdict.String(),
+		Reason:        sut.Reason,
 		DefectsFired:  fired,
 		CampaignSeed:  cfg.Seed,
 		Logic:         cfg.Logics[logicIdx],
@@ -930,17 +961,14 @@ func manifestFor(cfg *campaign, out taskOutcome, bugType string, defect solver.D
 		m.Mode = "mutation"
 		m.MutationRules = out.mutant.Rules
 	}
-	if out.run.Crashed {
-		m.Observed = "crash"
-		m.Reason = out.run.CrashMsg
-	}
 	return m
 }
 
 // classify implements the incorrects/crashes bookkeeping of
 // Algorithm 1, extended with performance-defect observation, timeout
 // triage, and duplicate triage by defect site.
-func classify(res *Result, found map[solver.Defect]int, cfg *campaign, aw *artifactWriter, out taskOutcome) {
+func classify(cfg *campaign, st *runState, out taskOutcome) {
+	res, found, aw := st.res, st.found, st.aw
 	logic := cfg.logic(out.id)
 	ancestors, run := out.ancestors, out.run
 	script, oracle := out.testScript(), out.oracle()
@@ -977,7 +1005,6 @@ func classify(res *Result, found map[solver.Defect]int, cfg *campaign, aw *artif
 		}
 	}
 
-	_, vote, definite := sutStatus(run)
 	switch {
 	case run.Crashed:
 		record(bugdb.Crash)
@@ -1000,7 +1027,7 @@ func classify(res *Result, found map[solver.Defect]int, cfg *campaign, aw *artif
 		if _, ok := primaryDefect(run.DefectsFired, bugdb.Performance); ok {
 			record(bugdb.Performance)
 		}
-	case contradicts(vote, definite, oracle):
+	case contradicts(sutOutput(run).Verdict, oracle):
 		record(bugdb.Soundness)
 	case run.Result == solver.ResSat && !cfg.DisableModelCheck:
 		// The verdict agrees with the oracle, but the reported witness
@@ -1013,16 +1040,17 @@ func classify(res *Result, found map[solver.Defect]int, cfg *campaign, aw *artif
 	}
 }
 
-// contradicts reports whether a normalized verdict — the (vote,
-// definite) pair sutStatus and backendStatus produce — refutes the
-// ground truth. Only a definite verdict on a definite oracle can
-// contradict: an unknown-status test (wild mutation) has nothing to
-// refute, so it abstains rather than being treated as implicitly unsat.
-// The earlier predicate `(verdict == sat) != (oracle == StatusSat)`
-// collapsed StatusUnknown into the unsat arm and charged every sat
-// verdict on an unknown-status input as a finding.
-func contradicts(vote core.Status, definite bool, oracle core.Status) bool {
-	return definite && (oracle == core.StatusSat || oracle == core.StatusUnsat) && vote != oracle
+// contradicts reports whether a voter's verdict — the SUT's through
+// sutOutput, or a backend's — refutes the ground truth. Only a definite
+// verdict on a definite oracle can contradict: an unknown-status test
+// (wild mutation) has nothing to refute, so it abstains rather than
+// being treated as implicitly unsat. The earlier predicate
+// `(verdict == sat) != (oracle == StatusSat)` collapsed StatusUnknown
+// into the unsat arm and charged every sat verdict on an unknown-status
+// input as a finding.
+func contradicts(v backend.Verdict, oracle core.Status) bool {
+	return v.Definite() && (oracle == core.StatusSat || oracle == core.StatusUnsat) &&
+		(v == backend.Sat) != (oracle == core.StatusSat)
 }
 
 // primaryDefect picks the fired defect matching the observed bug kind

@@ -151,21 +151,7 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 	d := envs[0].Config.withDefaults()
 	res := &Result{}
 	for _, e := range byShard {
-		res.Tests += e.State.Tests
-		res.Unknowns += e.State.Unknowns
-		res.ReferenceDisagreements += e.State.ReferenceDisagreements
-		res.InvalidInputs += e.State.InvalidInputs
-		res.Timeouts += e.State.Timeouts
-		res.Quarantined += e.State.Quarantined
-		// Consensus tallies are per-occurrence (never deduped), so plain
-		// summation reproduces the single-run values exactly.
-		res.OracleVotes += e.State.OracleVotes
-		res.OracleConsensus += e.State.OracleConsensus
-		res.OracleAbstained += e.State.OracleAbstained
-		res.SutOutvoted += e.State.SutOutvoted
-		res.MetamorphicPairs += e.State.MetamorphicPairs
-		res.MetamorphicSkips += e.State.MetamorphicSkips
-		res.SutViolations += e.State.SutViolations
+		res.add(e.State.tally)
 	}
 
 	bugs, duplicates, err := mergeBugs(byShard)
@@ -175,9 +161,7 @@ func Merge(envs []*Envelope, artifactDir string) (*Merged, error) {
 	res.Bugs = bugs
 	res.Duplicates = duplicates
 
-	if err := mergeBackends(res, d, byShard); err != nil {
-		return nil, err
-	}
+	mergeBackends(res, d, byShard)
 	if err := mergeArtifacts(res, byShard, artifactDir); err != nil {
 		return nil, err
 	}
@@ -238,13 +222,8 @@ func mergeBugs(byShard []*Envelope) ([]Bug, int, error) {
 // finding dedup the same way mergeBugs does: per dedup key, the
 // observation with the globally earliest task wins, and the merged
 // findings are ordered as classification would have emitted them.
-func mergeBackends(res *Result, d CampaignConfig, byShard []*Envelope) error {
-	names := d.backendNames()
-	nameIdx := map[string]int{"sut": -1}
-	for i, n := range names {
-		nameIdx[n] = i
-	}
-	res.Backends = make([]BackendReport, len(names))
+func mergeBackends(res *Result, d CampaignConfig, byShard []*Envelope) {
+	res.Backends = make([]BackendReport, len(d.Backends))
 	for _, e := range byShard {
 		for i, rep := range e.State.Backends {
 			dst := &res.Backends[i]
@@ -273,10 +252,10 @@ func mergeBackends(res *Result, d CampaignConfig, byShard []*Envelope) error {
 	// emission order (known-status by backend index, then majority, then
 	// metamorphic — an order no single sort key reproduces), so the
 	// stable sort interleaves tasks without disturbing it.
-	best := map[bkKey]int{}
+	best := map[findingKey]int{}
 	for _, e := range byShard {
 		for _, f := range e.State.BackendFindings {
-			key := findingKey(nameIdx[f.Backend], f) // backend validated by envelope decode
+			key := keyOf(f.Backend, f.Kind, f.Oracle, f.Observed)
 			if t, ok := best[key]; !ok || f.Task < t {
 				best[key] = f.Task
 			}
@@ -284,7 +263,7 @@ func mergeBackends(res *Result, d CampaignConfig, byShard []*Envelope) error {
 	}
 	for _, e := range byShard {
 		for _, f := range e.State.BackendFindings {
-			if best[findingKey(nameIdx[f.Backend], f)] == f.Task {
+			if best[keyOf(f.Backend, f.Kind, f.Oracle, f.Observed)] == f.Task {
 				res.BackendFindings = append(res.BackendFindings, f)
 			}
 		}
@@ -292,26 +271,6 @@ func mergeBackends(res *Result, d CampaignConfig, byShard []*Envelope) error {
 	sort.SliceStable(res.BackendFindings, func(i, j int) bool {
 		return res.BackendFindings[i].Task < res.BackendFindings[j].Task
 	})
-	return nil
-}
-
-// findingKey rebuilds the classification dedup key from a recorded
-// finding: the oracle participates only for the disagreement-shaped
-// kinds (a hang or garble is the same failure whatever the expected
-// status, but an outvoted verdict or pair violation is a distinct
-// observation per reference it contradicts).
-func findingKey(backendIdx int, f BackendFinding) bkKey {
-	key := bkKey{backendIdx: backendIdx, kind: f.Kind, observed: f.Observed}
-	if oracleKeyed(f.Kind) {
-		key.oracle = f.Oracle
-	}
-	return key
-}
-
-// oracleKeyed lists the finding kinds whose dedup key includes the
-// contradicted reference.
-func oracleKeyed(kind bugdb.BugType) bool {
-	return kind == bugdb.Disagreement || kind == bugdb.MajorityDisagreement || kind == bugdb.MetamorphicViolation
 }
 
 // mergeArtifacts re-folds the bundle dedup. A shard writes a bundle at
@@ -326,23 +285,15 @@ func mergeArtifacts(res *Result, byShard []*Envelope, dstDir string) error {
 	for _, b := range res.Bugs {
 		bugTask[string(b.Defect)] = b.Tasks[0]
 	}
-	type fkey struct{ backend, kind, oracle, observed string }
-	findingTask := map[fkey]int{}
+	findingTask := map[findingKey]int{}
 	for _, f := range res.BackendFindings {
-		k := fkey{backend: f.Backend, kind: string(f.Kind), observed: f.Observed}
-		if oracleKeyed(f.Kind) {
-			k.oracle = f.Oracle
-		}
-		findingTask[k] = f.Task
+		findingTask[keyOf(f.Backend, f.Kind, f.Oracle, f.Observed)] = f.Task
 	}
 	keep := func(r artifactRef) bool {
 		switch {
 		case strings.HasPrefix(r.BugType, "backend-"):
-			k := fkey{backend: r.Backend, kind: strings.TrimPrefix(r.BugType, "backend-"), observed: r.Observed}
-			if oracleKeyed(bugdb.BugType(k.kind)) {
-				k.oracle = r.Oracle
-			}
-			t, ok := findingTask[k]
+			kind := bugdb.BugType(strings.TrimPrefix(r.BugType, "backend-"))
+			t, ok := findingTask[keyOf(r.Backend, kind, r.Oracle, r.Observed)]
 			return ok && t == r.Task
 		case r.Defect != "":
 			t, ok := bugTask[r.Defect]

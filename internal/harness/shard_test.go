@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bugdb"
 	"repro/internal/telemetry"
 )
 
@@ -46,63 +47,97 @@ func TestShardSplitCoversTaskSpace(t *testing.T) {
 // trace, and reproducer-bundle tree must be byte-identical to the
 // unsharded single-process run — including the cross-shard folds the
 // shards cannot see locally: global bug dedup, duplicate counts,
-// backend finding dedup, funnel counters, and trace finding flags.
+// backend finding dedup, funnel counters, and trace finding flags. The
+// voters3 campaign adds backend-attributed majority and metamorphic
+// findings, which the merge re-folds through the name-keyed dedup key.
 func TestShardMergeDeterminism(t *testing.T) {
-	base := ckptConfig()
-	refCC := base
-	refCC.ArtifactDir = t.TempDir()
-	ref, refTrace := runToCompletion(t, refCC)
-	refTree := dirSnapshot(t, refCC.ArtifactDir)
-	if len(ref.Result.Bugs) == 0 || len(ref.Result.BackendFindings) == 0 || ref.Result.Duplicates == 0 {
-		t.Fatalf("reference campaign too tame to exercise the merge folds: %+v", summaryLine(ref))
+	cases := []struct {
+		name string
+		cc   CampaignConfig
+		// tame reports a reference too weak to exercise the folds the
+		// case is there for.
+		tame func(r *Result) bool
+	}{
+		{"ckpt", ckptConfig(), func(r *Result) bool {
+			return len(r.Bugs) == 0 || len(r.BackendFindings) == 0 || r.Duplicates == 0
+		}},
+		{"voters3-wild-auto", voters3Config(ModeWild, OracleAuto, ""), func(r *Result) bool {
+			kinds := map[bugdb.BugType]bool{}
+			for _, f := range r.BackendFindings {
+				if f.Backend != "sut" {
+					kinds[f.Kind] = true
+				}
+			}
+			return !kinds[bugdb.MajorityDisagreement] || !kinds[bugdb.MetamorphicViolation]
+		}},
+	}
+	type reference struct {
+		out   *Outcome
+		trace []byte
+		tree  map[string]string
+	}
+	refs := make([]reference, len(cases))
+	for i, c := range cases {
+		cc := c.cc
+		cc.ArtifactDir = t.TempDir()
+		out, trace := runToCompletion(t, cc)
+		if c.tame(out.Result) {
+			t.Fatalf("%s: reference campaign too tame to exercise the merge folds: %+v", c.name, summaryLine(out))
+		}
+		refs[i] = reference{out, trace, dirSnapshot(t, cc.ArtifactDir)}
 	}
 
 	for _, k := range []int{2, 3, 7} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			shardRoot := t.TempDir()
-			envs := make([]*Envelope, k)
-			for s := 0; s < k; s++ {
-				sc := base
-				sc.Shards, sc.Shard = k, s
-				sc.ArtifactDir = filepath.Join(shardRoot, fmt.Sprintf("sh%d", s))
-				tr := telemetry.NewTracker()
-				var tb bytes.Buffer
-				out, err := Start(sc, RunOptions{Telemetry: tr, Trace: &tb, Threads: s%3 + 1})
-				if err != nil {
-					t.Fatalf("shard %d: %v", s, err)
-				}
-				if out.Paused {
-					t.Fatalf("shard %d paused", s)
-				}
-				data, err := EncodeEnvelope(out.Envelope)
-				if err != nil {
-					t.Fatalf("shard %d encode: %v", s, err)
-				}
-				env, err := DecodeEnvelope(data)
-				if err != nil {
-					t.Fatalf("shard %d decode: %v", s, err)
-				}
-				// Merge maps envelopes by their shard index, not their
-				// position in the argument list.
-				envs[k-1-s] = env
-			}
-			mergedDir := t.TempDir()
-			m, err := Merge(envs, mergedDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(m.Result.Fingerprint(), ref.Result.Fingerprint()) {
-				t.Errorf("merged result diverged:\nref %s\ngot %s",
-					ref.Result.Fingerprint(), m.Result.Fingerprint())
-			}
-			if !reflect.DeepEqual(m.Telemetry, ref.Telemetry) {
-				t.Errorf("merged telemetry diverged:\nref %+v\ngot %+v", ref.Telemetry, m.Telemetry)
-			}
-			if !bytes.Equal(m.Trace, refTrace) {
-				t.Errorf("merged trace diverged (%d vs %d bytes)", len(m.Trace), len(refTrace))
-			}
-			if got := dirSnapshot(t, mergedDir); !reflect.DeepEqual(got, refTree) {
-				t.Errorf("merged bundle tree diverged:\nref  %v\ngot %v", keysOf(refTree), keysOf(got))
+			for i, c := range cases {
+				ref := refs[i]
+				t.Run(c.name, func(t *testing.T) {
+					shardRoot := t.TempDir()
+					envs := make([]*Envelope, k)
+					for s := 0; s < k; s++ {
+						sc := c.cc
+						sc.Shards, sc.Shard = k, s
+						sc.ArtifactDir = filepath.Join(shardRoot, fmt.Sprintf("sh%d", s))
+						tr := telemetry.NewTracker()
+						var tb bytes.Buffer
+						out, err := Start(sc, RunOptions{Telemetry: tr, Trace: &tb, Threads: s%3 + 1})
+						if err != nil {
+							t.Fatalf("shard %d: %v", s, err)
+						}
+						if out.Paused {
+							t.Fatalf("shard %d paused", s)
+						}
+						data, err := EncodeEnvelope(out.Envelope)
+						if err != nil {
+							t.Fatalf("shard %d encode: %v", s, err)
+						}
+						env, err := DecodeEnvelope(data)
+						if err != nil {
+							t.Fatalf("shard %d decode: %v", s, err)
+						}
+						// Merge maps envelopes by their shard index, not their
+						// position in the argument list.
+						envs[k-1-s] = env
+					}
+					mergedDir := t.TempDir()
+					m, err := Merge(envs, mergedDir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(m.Result.Fingerprint(), ref.out.Result.Fingerprint()) {
+						t.Errorf("merged result diverged:\nref %s\ngot %s",
+							ref.out.Result.Fingerprint(), m.Result.Fingerprint())
+					}
+					if !reflect.DeepEqual(m.Telemetry, ref.out.Telemetry) {
+						t.Errorf("merged telemetry diverged:\nref %+v\ngot %+v", ref.out.Telemetry, m.Telemetry)
+					}
+					if !bytes.Equal(m.Trace, ref.trace) {
+						t.Errorf("merged trace diverged (%d vs %d bytes)", len(m.Trace), len(ref.trace))
+					}
+					if got := dirSnapshot(t, mergedDir); !reflect.DeepEqual(got, ref.tree) {
+						t.Errorf("merged bundle tree diverged:\nref  %v\ngot %v", keysOf(ref.tree), keysOf(got))
+					}
+				})
 			}
 		})
 	}

@@ -313,12 +313,8 @@ func (rc *recorder) task(cfg *campaign, out taskOutcome, prev resCounts, res *Re
 		}
 	default:
 		rec.Status = "tested"
-		rec.Observed = out.run.Result.String()
-		rec.Reason = out.run.Reason
-		if out.run.Crashed {
-			rec.Observed = "crash"
-			rec.Reason = out.run.CrashMsg
-		}
+		sut := sutOutput(out.run)
+		rec.Observed, rec.Reason = sut.Verdict.String(), sut.Reason
 	}
 	if out.tested {
 		rec.Oracle = out.oracle().String()
@@ -341,8 +337,7 @@ func (rc *recorder) task(cfg *campaign, out taskOutcome, prev resCounts, res *Re
 			rec.Consensus = out.consensus
 			if out.variant != nil {
 				rec.MetaRelation = out.variant.Rel.String()
-				vLabel, _, _ := sutStatus(out.variantRun)
-				rec.VariantObserved = vLabel
+				rec.VariantObserved = sutOutput(out.variantRun).Verdict.String()
 				if len(out.variantBackends) > 0 {
 					rec.VariantBackends = make(map[string]string, len(out.variantBackends))
 					for i, o := range out.variantBackends {
