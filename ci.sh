@@ -189,7 +189,8 @@ echo "== fuzz smoke =="
 # its committed seed corpus. Failures minimize into testdata/fuzz/ and
 # become regression inputs.
 go test -fuzz='^FuzzParsePrintRoundTrip$' -fuzztime=10s ./internal/smtlib/
-go test -fuzz='^FuzzEvalTotal$' -fuzztime=10s ./internal/eval/
+go test -run='^$' -fuzz='^FuzzEvalTotal$' -fuzztime=10s ./internal/eval/
+go test -run='^$' -fuzz='^FuzzCompiledMatchesTerm$' -fuzztime=10s ./internal/eval/
 go test -fuzz='^FuzzAnalyze$' -fuzztime=10s ./internal/analysis/
 go test -run='^$' -fuzz='^FuzzParseVerdict$' -fuzztime=10s ./internal/backend/
 # -run='^$' skips the harness's (slow) unit tests here; the race
