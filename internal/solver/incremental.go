@@ -423,7 +423,6 @@ type ReuseStats struct {
 	LiveAsserts  int // preprocessed asserts across all frames
 	LearnedLive  int // learned clauses currently attached
 	AtomsLive    int // interned theory atoms
-	StringsWarm  bool
 	TableauAtoms int // simplex variables in the warm tableau
 }
 
@@ -438,7 +437,6 @@ func (s *Solver) Reuse() ReuseStats {
 		LiveAsserts:  len(s.inc.liveAsserts()),
 		LearnedLive:  s.inc.ab.sat.NumLearned(),
 		AtomsLive:    len(s.inc.ab.atomOf),
-		StringsWarm:  s.warm != nil,
 		TableauAtoms: s.inc.sess.NumVars(),
 	}
 }

@@ -30,9 +30,9 @@ func corpusAsserts(t *testing.T, seeds int) [][]ast.Term {
 }
 
 // TestWarmMatchesCold is the tier-1 differential: a solver reusing its
-// warm caches (rewrite memo, strings eval memo) across many scripts
-// must produce outcomes bit-identical to a cold solver per script —
-// same verdict, same model, same fired defects. This is the
+// warm cache (the rewrite memo) across many scripts must produce
+// outcomes bit-identical to a cold solver per script — same verdict,
+// same model, same fired defects, same fuel spent. This is the
 // transparency claim the campaign fast path rests on.
 func TestWarmMatchesCold(t *testing.T) {
 	warm := NewReference() // never reset: caches accumulate across scripts
@@ -48,6 +48,9 @@ func TestWarmMatchesCold(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.DefectsFired, cold.DefectsFired) {
 			t.Fatalf("script %d: warm defects %v, cold %v", i, got.DefectsFired, cold.DefectsFired)
+		}
+		if got.FuelSpent != cold.FuelSpent {
+			t.Fatalf("script %d: warm fuel %d, cold %d", i, got.FuelSpent, cold.FuelSpent)
 		}
 	}
 }

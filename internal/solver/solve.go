@@ -201,9 +201,6 @@ func (s *Solver) stringTheory(lits []ast.Term) (arith.Status, eval.Model) {
 		Fuel:   s.meter,
 		Telem:  s.cfg.Telemetry,
 	}
-	if s.warm != nil {
-		prob.Warm = s.warm.str
-	}
 	st, m := strings.Check(prob)
 	switch st {
 	case arith.Sat:

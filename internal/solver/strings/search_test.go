@@ -16,11 +16,9 @@ func newChecker(t *testing.T, src string) *checker {
 	}
 	c := &checker{lits: s.Asserts(), lim: DefaultLimits(), defect: func(string) bool { return false }}
 	c.varSorts = map[string]ast.Sort{}
-	c.litVars = make([][]string, len(c.lits))
-	for i, l := range c.lits {
+	for _, l := range c.lits {
 		for _, v := range ast.FreeVars(l) {
 			c.varSorts[v.Name] = v.VSort
-			c.litVars[i] = append(c.litVars[i], v.Name)
 		}
 	}
 	return c

@@ -54,6 +54,12 @@ func DefaultLimits() Limits {
 // whose polarity is already applied (a negated atom arrives as
 // (not atom)). String-sorted and integer-sorted literals may be mixed;
 // integer literals participate in the length abstraction.
+//
+// Check keeps no state between calls. Its witness search compiles each
+// literal once (eval.Compile) over a dense slot vector holding the
+// partial model, so the DFS evaluates closures instead of walking
+// terms under a name-keyed map; the verdict, model, fuel and telemetry
+// of a Check are functions of the Problem alone.
 type Problem struct {
 	Lits   []ast.Term
 	Limits Limits
@@ -70,10 +76,6 @@ type Problem struct {
 	// Telem records DFS-node and regex-derivative counts into the
 	// owner's tracker. Nil records nothing.
 	Telem *telemetry.Tracker
-	// Warm is the reusable evaluation cache shared across Check calls
-	// by the incremental layer. Nil disables caching; results are
-	// identical either way (see Warm).
-	Warm *Warm
 }
 
 // Check decides the conjunction. On Sat the model assigns every free
@@ -83,7 +85,7 @@ func Check(p *Problem) (Status, eval.Model) {
 	if lim.MaxLen == 0 {
 		lim = DefaultLimits()
 	}
-	c := &checker{lits: p.Lits, lim: lim, defect: p.Defect, fuel: p.Fuel, telem: p.Telem, warm: p.Warm}
+	c := &checker{lits: p.Lits, lim: lim, defect: p.Defect, fuel: p.Fuel, telem: p.Telem}
 	if c.defect == nil {
 		c.defect = func(string) bool { return false }
 	}
@@ -91,13 +93,11 @@ func Check(p *Problem) (Status, eval.Model) {
 }
 
 type checker struct {
-	lits    []ast.Term
-	litVars [][]string // free-variable names per literal (precomputed)
-	lim     Limits
-	defect  func(id string) bool
-	fuel    *fuel.Meter
-	telem   *telemetry.Tracker
-	warm    *Warm
+	lits   []ast.Term
+	lim    Limits
+	defect func(id string) bool
+	fuel   *fuel.Meter
+	telem  *telemetry.Tracker
 
 	strVars []string
 	intVars []string
@@ -111,23 +111,29 @@ type checker struct {
 	// eqDefs: defining equations v = rhs usable for propagation.
 	eqDefs map[string][]ast.Term
 
-	// litsByVar indexes literals by free-variable name, so the DFS can
-	// check only the literals completed by each assignment.
-	litsByVar map[string][]int
-
 	alphabet []byte
 	lenHint  map[string]int
+
+	// The search's partial model, over dense variable slots (see
+	// compileSlots): vals[i] is the value of names[i], nil while
+	// unassigned.
+	names []string
+	vals  []eval.Value
+	// Per literal: its compiled evaluator and its free-variable slots.
+	compiled []eval.Compiled
+	litSlots [][]int
+	// litsBySlot indexes literals by free-variable slot, so the DFS
+	// checks only the literals completed by each assignment.
+	litsBySlot [][]int
+	// defs holds each slot's compiled defining equations.
+	defs [][]slotDef
 }
 
 func (c *checker) run() (Status, eval.Model) {
 	c.varSorts = map[string]ast.Sort{}
-	c.litVars = make([][]string, len(c.lits))
-	c.litsByVar = map[string][]int{}
-	for i, l := range c.lits {
+	for _, l := range c.lits {
 		for _, v := range ast.FreeVars(l) {
 			c.varSorts[v.Name] = v.VSort
-			c.litVars[i] = append(c.litVars[i], v.Name)
-			c.litsByVar[v.Name] = append(c.litsByVar[v.Name], i)
 		}
 	}
 	for name, s := range c.varSorts {

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"repro/internal/ast"
-	"repro/internal/solver/strings"
 	"repro/internal/telemetry"
 )
 
@@ -27,11 +26,9 @@ const rewriteMemoMax = 1 << 16
 // consecutive solves share structure — exactly the shape semantic
 // fusion produces, where every variant of a seed pair shares almost
 // all of its assertions (and, because terms are hash-consed, shares
-// the term pointers too).
+// the term pointers too). The string search keeps no warm state: it
+// compiles its literals per check instead (see strings.Problem).
 type warmState struct {
-	// str is the string theory's literal-evaluation cache (see
-	// strings.Warm); the DFS hot path accounts for ~90% of campaign CPU.
-	str *strings.Warm
 	// rw memoizes top-level preprocess rewrites: input term → output
 	// term plus the defect sites that fired while rewriting it, so a
 	// hit replays the firings. Gated off while coverage tracking is on
@@ -45,7 +42,7 @@ type rwEntry struct {
 }
 
 func newWarmState() *warmState {
-	return &warmState{str: strings.NewWarm(), rw: map[ast.Term]rwEntry{}}
+	return &warmState{rw: map[ast.Term]rwEntry{}}
 }
 
 // ResetWarm drops all warm caches. The harness calls this at the start
@@ -57,7 +54,6 @@ func (s *Solver) ResetWarm() {
 	if s.warm == nil {
 		return
 	}
-	s.warm.str.Reset()
 	s.warm.rw = map[ast.Term]rwEntry{}
 }
 
