@@ -158,6 +158,10 @@ func printStringLit(b *strings.Builder, s string) {
 		switch {
 		case r == '"':
 			b.WriteString(`""`)
+		case r == '\\':
+			// A raw backslash could start an escape on re-parse (the
+			// lexer accepts \u{..} and the legacy \n \t \\ \").
+			b.WriteString(`\u{5c}`)
 		case r >= 0x20 && r < 0x7f:
 			b.WriteByte(byte(r))
 		default:
