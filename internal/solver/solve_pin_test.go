@@ -18,16 +18,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-var updateStringsPin = flag.Bool("update-strings-pin", false, "rewrite testdata/strings-search.hash from this build's outcomes")
+var updateSolvePins = flag.Bool("update-solve-pins", false, "rewrite the testdata/*.hash solve pins from this build's outcomes")
 
-// stringPinLogics are the generator families whose scripts reach the
-// string theory's bounded witness search.
-var stringPinLogics = []gen.Logic{gen.QFS, gen.QFSLIA, gen.StringFuzz}
+// solvePin is one row of the per-script solve pins: the generator
+// families it covers and the hash file holding their digests.
+type solvePin struct {
+	logics []gen.Logic
+	file   string
+}
 
-// stringPinFuel is the small per-solve budget of the all-defects arm:
-// enough for most scripts to finish, too little for the widest
-// searches, so timeouts and the pf-strings-dfs-hang drain both occur.
-const stringPinFuel = 100
+var (
+	// stringsPin covers the families whose scripts reach the string
+	// theory's bounded witness search.
+	stringsPin = solvePin{[]gen.Logic{gen.QFS, gen.QFSLIA, gen.StringFuzz}, "strings-search.hash"}
+	// arithPin covers the arithmetic families: CDCL, simplex,
+	// branch-and-bound and the interval/nonlinear procedures.
+	arithPin = solvePin{[]gen.Logic{gen.LIA, gen.LRA, gen.NRA, gen.QFLIA, gen.QFLRA, gen.QFNRA, gen.QFNIA}, "arith-solve.hash"}
+)
+
+// pinFuel is the small per-solve budget of the all-defects arm: enough
+// for most scripts to finish, too little for the widest searches, so
+// timeouts and hang drains (pf-strings-dfs-hang among them) both occur.
+const pinFuel = 100
 
 // pinDigest renders one solve — verdict, reason, sorted model, fired
 // defects, fuel, and the per-solve telemetry counters — and returns a
@@ -67,30 +79,39 @@ func pinDigest(s *Solver, tr *telemetry.Tracker, asserts []ast.Term) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-type stringsPinScript struct {
+type pinScript struct {
 	name    string
 	asserts []ast.Term
 }
 
 // TestStringSearchPinned pins the string solver's observable behaviour
-// over the string generator families (seeds 0–19, sat and unsat): for
-// every script, the digest of its outcome and per-solve counters under
-// a cold reference solver, under one reference solver carried across
-// every script (the campaign's reuse pattern), and under every defect
-// with a small fuel budget (timeouts, the DFS hang drain, crash
-// sites). Changes to the search's implementation must leave every
-// digest in testdata/strings-search.hash untouched; a deliberate
-// behaviour change regenerates it with -update-strings-pin.
-func TestStringSearchPinned(t *testing.T) {
-	var scripts []stringsPinScript
-	for _, logic := range stringPinLogics {
+// over the string generator families; see checkSolvePin.
+func TestStringSearchPinned(t *testing.T) { checkSolvePin(t, stringsPin) }
+
+// TestArithSolvePinned pins the arithmetic path — CDCL decisions and
+// conflicts, simplex pivots and tableau reuse, branch-and-bound and
+// interval steps — over the arithmetic generator families; see
+// checkSolvePin.
+func TestArithSolvePinned(t *testing.T) { checkSolvePin(t, arithPin) }
+
+// checkSolvePin solves every script of the pin's families (seeds 0–19,
+// sat and unsat) and compares the digest of its outcome and per-solve
+// counters under a cold reference solver, under one reference solver
+// carried across every script (the campaign's reuse pattern), and
+// under every defect with the pin's small fuel budget (timeouts, hang
+// drains, crash sites). Changes to the solver's implementation must
+// leave every digest in the pin's hash file untouched; a deliberate
+// behaviour change regenerates it with -update-solve-pins.
+func checkSolvePin(t *testing.T, pin solvePin) {
+	var scripts []pinScript
+	for _, logic := range pin.logics {
 		for seed := int64(0); seed < 20; seed++ {
 			for _, status := range []core.Status{core.StatusSat, core.StatusUnsat} {
 				g, err := gen.New(logic, seed)
 				if err != nil {
 					t.Fatalf("gen.New(%s): %v", logic, err)
 				}
-				scripts = append(scripts, stringsPinScript{
+				scripts = append(scripts, pinScript{
 					name:    fmt.Sprintf("%s/%d/%v", logic, seed, status),
 					asserts: g.Generate(status).Script.Asserts(),
 				})
@@ -103,7 +124,7 @@ func TestStringSearchPinned(t *testing.T) {
 		all[d] = true
 	}
 	starved := DefaultLimits()
-	starved.Fuel = stringPinFuel
+	starved.Fuel = pinFuel
 
 	carriedTr := telemetry.NewTracker()
 	carried := New(Config{Telemetry: carriedTr})
@@ -117,8 +138,8 @@ func TestStringSearchPinned(t *testing.T) {
 		fmt.Fprintf(&got, "%s cold=%s carried=%s defects=%s\n", sc.name, cold, warm, def)
 	}
 
-	path := filepath.Join("testdata", "strings-search.hash")
-	if *updateStringsPin {
+	path := filepath.Join("testdata", pin.file)
+	if *updateSolvePins {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +150,7 @@ func TestStringSearchPinned(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (generate with -update-strings-pin)", err)
+		t.Fatalf("%v (generate with -update-solve-pins)", err)
 	}
 	wantLines := lines(string(want))
 	gotLines := lines(got.String())
