@@ -97,12 +97,6 @@ type clause struct {
 	lits    []Lit
 	learned bool
 	act     float64
-	// tag is the deepest assertion frame this clause depends on:
-	// problem clauses get the frame they were added in; learned clauses
-	// get the maximum over every clause and root assignment their
-	// derivation touched. Pop evicts exactly the clauses tagged above
-	// the restored frame.
-	tag int
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
@@ -125,14 +119,6 @@ type Solver struct {
 
 	ok        bool // false once an empty clause is added
 	conflicts int64
-
-	// Incremental state (see incremental.go): the open frame stack,
-	// the current frame number, and — for root-level assignments — the
-	// deepest frame each assignment depends on, folded into learned
-	// clause tags when conflict analysis skips level-0 variables.
-	frame   int
-	frames  []frameMark
-	rootTag []int // indexed by var; meaningful only at level 0
 
 	// MaxConflicts bounds the total conflicts per Solve call; exceeded
 	// budget yields Unknown. Zero means no bound.
@@ -158,7 +144,6 @@ func New() *Solver {
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lUndef)
-	s.rootTag = append(s.rootTag, 0)
 	s.watches = append(s.watches, nil, nil)
 	return s
 }
@@ -172,7 +157,6 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lFalse)
-	s.rootTag = append(s.rootTag, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v)
 	return v
@@ -192,45 +176,7 @@ func (s *Solver) litValue(l Lit) lbool {
 // AddClause adds a clause over existing variables. It may be called
 // between Solve calls; the solver backtracks to the root level first.
 // Returns false if the solver is already in an unsatisfiable root state.
-// The clause is tagged with the current assertion frame: a Pop of that
-// frame retracts it.
 func (s *Solver) AddClause(lits ...Lit) bool {
-	return s.addTagged(lits, s.frame, false)
-}
-
-// AddLemma adds a clause the caller asserts is logically valid
-// independent of any open frame's assertions — a theory lemma over
-// existing atoms. It is tagged with the deepest frame that allocated
-// one of its variables (the clause is meaningless below that), stored
-// with the learned set, and so survives Pops that would retract a
-// regular AddClause, letting later Checks reuse theory work.
-func (s *Solver) AddLemma(lits ...Lit) bool {
-	tag := 0
-	for _, l := range lits {
-		if f := s.varFrame(l.Var()); f > tag {
-			tag = f
-		}
-	}
-	return s.addTagged(lits, tag, true)
-}
-
-// varFrame returns the assertion frame that allocated variable v: the
-// number of frame marks recorded before v existed.
-func (s *Solver) varFrame(v int) int {
-	lo, hi := 0, len(s.frames)
-	//golint:allow fuel-charge — binary search over the frame stack
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.frames[mid].nVars < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func (s *Solver) addTagged(lits []Lit, tag int, asLemma bool) bool {
 	if !s.ok {
 		return false
 	}
@@ -253,14 +199,7 @@ func (s *Solver) addTagged(lits []Lit, tag int, asLemma bool) bool {
 		case lTrue:
 			return true // satisfied at root
 		case lFalse:
-			// Dropping the literal bakes the root assignment into the
-			// clause, so the clause now depends on that assignment's
-			// frame too — fold its tag (matters for lemmas, whose tag
-			// may sit below the current frame).
-			if rt := s.rootTag[l.Var()]; rt > tag {
-				tag = rt
-			}
-			continue
+			continue // falsified at root: drop
 		}
 		seen[l] = true
 		out = append(out, l)
@@ -271,19 +210,14 @@ func (s *Solver) addTagged(lits []Lit, tag int, asLemma bool) bool {
 		return false
 	case 1:
 		s.uncheckedEnqueue(out[0], nil)
-		s.rootTag[out[0].Var()] = tag
 		if s.propagate() != nil {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out, tag: tag, learned: asLemma}
-	if asLemma {
-		s.learned = append(s.learned, c)
-	} else {
-		s.clauses = append(s.clauses, c)
-	}
+	c := &clause{lits: out}
+	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
@@ -304,22 +238,6 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	// Root-level assignments record the deepest frame they depend on:
-	// the reason clause's tag folded with the tags of the other root
-	// assignments the reason rests on. Conflict analysis folds these
-	// into learned-clause tags when it skips level-0 variables.
-	if s.decisionLevel() == 0 {
-		t := s.frame
-		if from != nil {
-			t = from.tag
-			for _, q := range from.lits {
-				if qv := q.Var(); qv != v && s.rootTag[qv] > t {
-					t = s.rootTag[qv]
-				}
-			}
-		}
-		s.rootTag[v] = t
-	}
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -399,24 +317,17 @@ func (s *Solver) propagate() *clause {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
-// clause (asserting literal first), the backtrack level, and the
-// clause's frame tag: the maximum tag over every clause the derivation
-// traversed and every root assignment it skipped — the deepest frame
-// the lemma depends on, governing its eviction on Pop.
-func (s *Solver) analyze(conflict *clause) ([]Lit, int, int) {
+// clause (asserting literal first) and the backtrack level.
+func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 	learnt := []Lit{0} // placeholder for the asserting literal
 	seen := make([]bool, s.nVars+1)
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
 	c := conflict
-	tag := conflict.tag
 
 	//golint:allow fuel-charge — conflict analysis consumes one marked trail literal per iteration, bounded by the finite trail
 	for {
-		if c.tag > tag {
-			tag = c.tag
-		}
 		start := 0
 		if p != 0 {
 			start = 1 // skip the asserting literal of the reason clause
@@ -424,11 +335,6 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int, int) {
 		for _, q := range c.lits[start:] {
 			v := q.Var()
 			if seen[v] || s.level[v] == 0 {
-				// A skipped root assignment is an implicit premise of
-				// the learned clause; fold the frame it depends on.
-				if s.level[v] == 0 && s.rootTag[v] > tag {
-					tag = s.rootTag[v]
-				}
 				continue
 			}
 			seen[v] = true
@@ -468,7 +374,7 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int, int) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		bt = s.level[learnt[1].Var()]
 	}
-	return learnt, bt, tag
+	return learnt, bt
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -527,16 +433,12 @@ func (s *Solver) Solve() Status {
 				s.ok = false
 				return Unsat
 			}
-			learnt, bt, tag := s.analyze(conflict)
+			learnt, bt := s.analyze(conflict)
 			s.backtrackTo(bt)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
-				// Override the conservative current-frame default with
-				// the precise derivation tag, so later lemmas built on
-				// this unit inherit the tightest dependency.
-				s.rootTag[learnt[0].Var()] = tag
 			} else {
-				c := &clause{lits: learnt, learned: true, tag: tag}
+				c := &clause{lits: learnt, learned: true}
 				s.learned = append(s.learned, c)
 				s.attach(c)
 				s.uncheckedEnqueue(learnt[0], c)

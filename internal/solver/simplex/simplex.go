@@ -14,6 +14,17 @@ import (
 // unit spent in the Check loop.
 var cPivots = telemetry.NewCounter("yy_simplex_pivots_total", "simplex pivot iterations")
 
+// Tableau warm-start counters: a hit means an asserted linear
+// combination found its slack variable — and that variable's row in
+// the tableau — already in place from an earlier assertion on the same
+// instance, so the row construction and substitution work is skipped
+// entirely. Both increment inside slackFor, which runs at
+// deterministic points of the assertion sequence.
+var (
+	cTableauHits   = telemetry.NewCounter("yy_tableau_warm_hits_total", "simplex atom assertions that reused an existing tableau row")
+	cTableauMisses = telemetry.NewCounter("yy_tableau_warm_misses_total", "simplex atom assertions that built a fresh tableau row")
+)
+
 // Solver is an exact simplex instance. Build one per theory check:
 // allocate problem variables, assert bounds on variables or on linear
 // combinations, then call Check.
@@ -27,7 +38,6 @@ type Solver struct {
 	rows   map[int]map[int]*big.Rat // basic var -> (nonbasic var -> coeff)
 	basic  map[int]bool
 	slacks map[string]int // normalized combo key -> slack var
-	undos  []boundUndo    // bound-tightening trail for Mark/PopToMark
 
 	// MaxPivots bounds the pivoting loop; exceeding it reports an
 	// (extremely unlikely with Bland's rule) resource error.
@@ -199,7 +209,6 @@ func (s *Solver) assertUpper(v int, b Num) bool {
 	if s.hasLo[v] && s.lower[v].Cmp(b) > 0 {
 		return false // conflict with lower bound
 	}
-	s.recordBound(v)
 	s.upper[v] = b
 	s.hasHi[v] = true
 	if !s.basic[v] && s.value[v].Cmp(b) > 0 {
@@ -215,7 +224,6 @@ func (s *Solver) assertLower(v int, b Num) bool {
 	if s.hasHi[v] && s.upper[v].Cmp(b) < 0 {
 		return false
 	}
-	s.recordBound(v)
 	s.lower[v] = b
 	s.hasLo[v] = true
 	if !s.basic[v] && s.value[v].Cmp(b) < 0 {
