@@ -100,6 +100,33 @@ grep -q '^yy_funnel_solved_total [1-9]' "$tmpmetrics" || {
 }
 rm -f "$tmpmetrics"
 
+echo "== solve exit-code smoke =="
+# cmd/solve's exit codes are its contract with scripts: 0 when the
+# verdict matches -expect, 3 on a mismatch, 2 on misuse (a -expect
+# with no verdict token, a wrong argument count, an unknown flag). A
+# built binary, not `go run`, which collapses exit codes to 1.
+tmpsolve=$(mktemp -d)
+go build -o "$tmpsolve/solve" ./cmd/solve
+printf '(declare-fun x () Int)\n(assert (> x 0))\n' > "$tmpsolve/a.smt2"
+solve_rc() {
+    set +e
+    "$tmpsolve/solve" "$@" >/dev/null 2>&1
+    rc=$?
+    set -e
+}
+for c in "0 -expect sat" "3 -expect unsat" "2 -expect bogus"; do
+    set -- $c
+    want=$1
+    shift
+    solve_rc "$@" "$tmpsolve/a.smt2"
+    [ "$rc" -eq "$want" ] || { echo "solve smoke: $* exited $rc, want $want" >&2; exit 1; }
+done
+solve_rc "$tmpsolve/a.smt2" "$tmpsolve/a.smt2"
+[ "$rc" -eq 2 ] || { echo "solve smoke: two file arguments exited $rc, want 2" >&2; exit 1; }
+solve_rc -incremental "$tmpsolve/a.smt2"
+[ "$rc" -eq 2 ] || { echo "solve smoke: -incremental exited $rc, want 2 (unknown flag)" >&2; exit 1; }
+rm -rf "$tmpsolve"
+
 echo "== campaign service smoke =="
 # End-to-end through the CLI: a campaign killed at a checkpoint and
 # resumed with a different worker count, and the same campaign split

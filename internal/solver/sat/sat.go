@@ -162,9 +162,6 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 func (s *Solver) litValue(l Lit) lbool {
 	v := s.assign[l.Var()]
 	if l < 0 {
